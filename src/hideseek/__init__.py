@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .errors import (
     BadHeight,
     BadShape,
+    BadWorkerCount,
     DisconnectedGraph,
     DuplicateEdge,
     EmptyFrontier,
@@ -28,19 +29,15 @@ from .errors import (
 from .graphs import (
     Cycle,
     Graph,
-    ReachabilityClasses,
     Subgraph,
     bfs_distances,
     closed_subgraph,
     cycle_exit,
-    entrance,
     find_cycle,
     from_edges,
     graph_from_json,
     graph_to_json,
     must_pass,
-    reachability_classes,
-    restricted_classes,
 )
 from .hider import (
     BenefitFunction,
@@ -54,14 +51,10 @@ from .hider import (
 )
 from .seeker import (
     Episode,
-    Observation,
+    SearchState,
     SeekerPolicy,
-    adfs_next,
     battery_policies,
-    dfs_d_next,
-    dfs_next,
     execute,
-    observe,
     policy_from_id,
     sigma_star,
 )

@@ -63,3 +63,7 @@ class PreconditionViolated(HideSeekError):
     def __init__(self, clause: str, detail: str = ""):
         self.clause = clause
         super().__init__(f"{clause}: {detail}" if detail else clause)
+
+
+class BadWorkerCount(HideSeekError):
+    """A worker count that is not an integer of at least 1."""

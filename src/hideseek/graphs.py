@@ -116,30 +116,6 @@ class Cycle:
         return v in self.node_set
 
 
-@dataclass(frozen=True)
-class ReachabilityClasses:
-    """Nodes grouped by how many simple paths of length <= bound reach them."""
-
-    bound: int
-    by_count: dict[int, frozenset[int]]
-
-    @cached_property
-    def within(self) -> frozenset[int]:
-        out: set[int] = set()
-        for members in self.by_count.values():
-            out |= members
-        return frozenset(out)
-
-    def count_for(self, v: int) -> int:
-        for i, members in self.by_count.items():
-            if v in members:
-                return i
-        return 0
-
-    def members(self, i: int) -> frozenset[int]:
-        return self.by_count.get(i, frozenset())
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int]], source: int = 0) -> Graph:
     """Validate and build a Graph; raises typed errors on malformed input."""
     seen: set[Edge] = set()
@@ -419,17 +395,6 @@ def cached_profiles(g, s: int) -> PathProfile:
     return path_profiles(g, s)
 
 
-def reachability_classes(g, s: int, d: int) -> ReachabilityClasses:
-    """Group nodes by the number of simple paths of length <= ``d`` from ``s``."""
-    prof = path_profiles(g, s)
-    buckets: dict[int, set[int]] = {}
-    for v in g.node_set:
-        i = prof.count_within(v, d)
-        if i > 0:
-            buckets.setdefault(i, set()).add(v)
-    return ReachabilityClasses(bound=d, by_count={i: frozenset(vs) for i, vs in buckets.items()})
-
-
 def simple_path_counts(g, s: int, d: int, through: int | None = None) -> dict[int, int]:
     """Count simple paths of length <= ``d`` from ``s`` by explicit enumeration.
 
@@ -457,22 +422,6 @@ def simple_path_counts(g, s: int, d: int, through: int | None = None) -> dict[in
 
     walk(s, 0, through is None or s == through)
     return counts
-
-
-def restricted_classes(g, s: int, u: int, d: int) -> dict[int, frozenset[int]]:
-    """Classes R^i of nodes reachable by exactly ``i`` short paths containing ``u``."""
-    counts = simple_path_counts(g, s, d, through=u)
-    buckets: dict[int, set[int]] = {}
-    for v, i in counts.items():
-        if i > 0:
-            buckets.setdefault(i, set()).add(v)
-    return {i: frozenset(vs) for i, vs in buckets.items()}
-
-
-def entrance(g, cycle: Cycle, s: int) -> int:
-    """The cycle node closest to ``s`` (unique on <=1-cycle graphs)."""
-    dist = bfs_distances(g, s)
-    return min(cycle.node_set, key=lambda v: (dist[v], v))
 
 
 def cycle_exit(g, cycle: Cycle, s: int, v: int) -> int:

@@ -9,6 +9,9 @@ Enumeration is sequence-keyed by default (no state is ever merged).  Passing
 sufficient statistic (``SeekerPolicy.state_key``); the two modes are required
 to agree and that equality is part of the test suite.  Upfront mixtures are
 always enumerated componentwise and recombined by their weights.
+
+Each walk drives one :class:`~hideseek.seeker.SearchState` depth first,
+pushing a move before it descends and popping it on the way back.
 """
 from __future__ import annotations
 
@@ -16,9 +19,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import TooLarge
-from .graphs import Graph, bfs_distances, closed_subgraph
+from .graphs import Graph, bfs_distances
 from .hider import BenefitFunction, HiderStrategy, all_trees
-from .seeker import MixturePolicy, Observation, SeekerPolicy, battery_policies
+from .seeker import MixturePolicy, SearchState, SeekerPolicy, battery_policies
 
 DEFAULT_NODE_LIMIT = 12
 _MISS = object()
@@ -27,22 +30,6 @@ _MISS = object()
 def _guard(g: Graph, node_limit: int | None) -> None:
     if node_limit is not None and g.n > node_limit:
         raise TooLarge(f"enumeration guard: n = {g.n} exceeds {node_limit}")
-
-
-class _Views:
-    """Per-graph cache of closed subgraphs keyed by the visited set."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._cache: dict[frozenset[int], object] = {}
-
-    def observation(self, seq: tuple[int, ...]) -> Observation:
-        key = frozenset(seq)
-        view = self._cache.get(key)
-        if view is None:
-            view = closed_subgraph(self.g, seq)
-            self._cache[key] = view
-        return Observation(visited=seq, view=view)
 
 
 def _components(policy: SeekerPolicy):
@@ -70,28 +57,29 @@ def exact_expected_pos(
         )
     if h == g.source:
         return Fraction(0)
-    views = _Views(g)
+    state = SearchState(g)
     memo: dict = {}
 
-    def go(seq: tuple[int, ...]) -> Fraction:
-        obs = views.observation(seq)
-        key = policy.state_key(obs) if memoized else None
+    def go() -> Fraction:
+        key = policy.state_key(state) if memoized else None
         if key is not None:
             hit = memo.get(key, _MISS)
             if hit is not _MISS:
                 return hit
-        k = len(seq)
+        k = len(state.visited)
         total = Fraction(0)
-        for w, p in policy.distribution(obs):
+        for w, p in policy.distribution(state):
             if w == h:
                 total += p * k
             else:
-                total += p * go(seq + (w,))
+                state.push(w)
+                total += p * go()
+                state.pop()
         if key is not None:
             memo[key] = total
         return total
 
-    return go((g.source,))
+    return go()
 
 
 def exact_visit_prob(
@@ -118,27 +106,28 @@ def exact_visit_prob(
         return Fraction(1)
     if t == g.source:
         return Fraction(0)
-    views = _Views(g)
+    state = SearchState(g)
     memo: dict = {}
 
-    def go(seq: tuple[int, ...]) -> Fraction:
-        obs = views.observation(seq)
-        key = policy.state_key(obs) if memoized else None
+    def go() -> Fraction:
+        key = policy.state_key(state) if memoized else None
         if key is not None:
             hit = memo.get(key, _MISS)
             if hit is not _MISS:
                 return hit
         total = Fraction(0)
-        for w, p in policy.distribution(obs):
+        for w, p in policy.distribution(state):
             if w == v:
                 total += p
             elif w != t:
-                total += p * go(seq + (w,))
+                state.push(w)
+                total += p * go()
+                state.pop()
         if key is not None:
             memo[key] = total
         return total
 
-    return go((g.source,))
+    return go()
 
 
 def exact_position_table(
@@ -158,30 +147,31 @@ def exact_position_table(
             for v, val in part.items():
                 merged[v] += w * val
         return merged
-    views = _Views(g)
+    state = SearchState(g)
     memo: dict = {}
     full = g.node_set
 
-    def go(seq: tuple[int, ...]) -> dict[int, Fraction]:
+    def go() -> dict[int, Fraction]:
         # expected number of further steps until each unvisited node is reached
-        if len(seq) == g.n:
+        if len(state.visited) == g.n:
             return {}
-        obs = views.observation(seq)
-        key = policy.state_key(obs) if memoized else None
+        key = policy.state_key(state) if memoized else None
         if key is not None:
             hit = memo.get(key, _MISS)
             if hit is not _MISS:
                 return hit
-        acc = dict.fromkeys(full - obs.visited_set, Fraction(1))
-        for w, p in policy.distribution(obs):
-            child = go(seq + (w,))
+        acc = dict.fromkeys(full - state.visited_set, Fraction(1))
+        for w, p in policy.distribution(state):
+            state.push(w)
+            child = go()
+            state.pop()
             for v, offset in child.items():
                 acc[v] += p * offset
         if key is not None:
             memo[key] = acc
         return acc
 
-    offsets = go((g.source,))
+    offsets = go()
     table = {g.source: Fraction(0)}
     for v, offset in offsets.items():
         table[v] = offset  # offsets from a single visited node are absolute positions
@@ -203,18 +193,20 @@ def episode_distribution(
             for seq, q in episode_distribution(p, g, node_limit=node_limit).items():
                 merged[seq] = merged.get(seq, Fraction(0)) + w * q
         return merged
-    views = _Views(g)
+    state = SearchState(g)
     out: dict[tuple[int, ...], Fraction] = {}
 
-    def go(seq: tuple[int, ...], prob: Fraction) -> None:
-        if len(seq) == g.n:
+    def go(prob: Fraction) -> None:
+        if len(state.visited) == g.n:
+            seq = tuple(state.visited)
             out[seq] = out.get(seq, Fraction(0)) + prob
             return
-        obs = views.observation(seq)
-        for w, p in policy.distribution(obs):
-            go(seq + (w,), prob * p)
+        for w, p in policy.distribution(state):
+            state.push(w)
+            go(prob * p)
+            state.pop()
 
-    go((g.source,), Fraction(1))
+    go(Fraction(1))
     return out
 
 
@@ -277,16 +269,21 @@ def adversarial_policy_battery(
     return results
 
 
-def reachable_observations(policy: SeekerPolicy, g: Graph) -> Iterator[Observation]:
-    """Every observation reachable with positive probability under ``policy``."""
-    views = _Views(g)
+def reachable_observations(policy: SeekerPolicy, g: Graph) -> Iterator[SearchState]:
+    """Every state reachable with positive probability under ``policy``.
 
-    def go(seq: tuple[int, ...]) -> Iterator[Observation]:
-        if len(seq) == g.n:
+    Each yielded state is a copy of its own, so it stays valid as the walk
+    moves on.
+    """
+    state = SearchState(g)
+
+    def go() -> Iterator[SearchState]:
+        if len(state.visited) == g.n:
             return
-        obs = views.observation(seq)
-        yield obs
-        for w, _ in policy.distribution(obs):
-            yield from go(seq + (w,))
+        yield SearchState(g, state.visited)
+        for w, _ in policy.distribution(state):
+            state.push(w)
+            yield from go()
+            state.pop()
 
-    yield from go((g.source,))
+    yield from go()

@@ -1,8 +1,8 @@
-"""Seeker-side machinery: observations, search policies, and episode execution.
+"""Seeker-side machinery: the search state, search policies, and episode execution.
 
-A policy only ever sees an :class:`Observation` -- the ordered list of visited
-nodes plus the closed induced subgraph over them.  It never touches the full
-hidden graph; the executor enforces that boundary by constructing the view.
+A policy only ever sees a :class:`SearchState` -- the ordered list of visited
+nodes plus what the closed induced subgraph over them shows.  Every query the
+state answers is a fact of that view, never of the hidden rest of the graph.
 
 Policies return exact rational distributions over the frontier.  The depth
 first family differs only in how the *active* node (whose unvisited
@@ -21,67 +21,140 @@ neighbours are eligible) is selected:
 """
 from __future__ import annotations
 
+import math
 import random
+from bisect import insort
+from itertools import repeat
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .errors import EmptyFrontier, PolicyViolation
-from .graphs import Graph, Subgraph, cached_profiles, closed_subgraph
+from .graphs import Graph, PathProfile, cached_profiles
 
 Distribution = tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What the seeker knows: the visit order and its closed induced subgraph."""
+class SearchState:
+    """What the seeker knows after a visit sequence, kept current move by move.
 
-    visited: tuple[int, ...]
-    view: Subgraph
+    The view is the closed induced subgraph over the visited nodes: the
+    visited nodes, the frontier, and every edge at a visited node.  ``push``
+    visits a frontier node and ``pop`` takes the last visit back, each in
+    O(deg) of the node moved, so the sampler extends one state per episode
+    and the enumerator walks the whole decision tree on one state.
 
-    @property
-    def source(self) -> int:
-        return self.visited[0]
+    Path facts come for free from the graph having at most one cycle.  The
+    view is connected, so it is either a tree or holds the whole cycle.  In a
+    tree view a node's one path is fixed when the node enters the view (its
+    revealer's length + 1).  A view that holds the cycle holds every simple
+    source path to each of its nodes, so the graph's own profile, restricted
+    to the view, is the view's.
+    """
 
-    @cached_property
-    def visited_set(self) -> frozenset[int]:
-        return frozenset(self.visited)
+    __slots__ = ("g", "visited", "visited_set", "frontier", "active_stack",
+                 "_open", "_seen", "_depth", "_rank", "_inner", "_view_edges")
 
-    @cached_property
-    def frontier(self) -> frozenset[int]:
-        return self.view.nodes - self.visited_set
+    def __init__(self, g: Graph, visited: Iterable[int] | None = None):
+        n = g.n
+        self.g = g
+        self.visited: list[int] = []
+        self.visited_set: set[int] = set()
+        self.frontier: set[int] = {g.source}
+        self.active_stack: list[int] = []  # visited nodes with unvisited neighbours, in visit order
+        self._open = [0] * n   # unvisited neighbours of each visited node
+        self._seen = [0] * n   # visited neighbours of each unvisited node
+        self._depth = [0] * n  # path length in the view while the view is a tree
+        self._rank = [0] * n   # place in the visit order
+        self._inner = 0        # edges between visited nodes
+        self._view_edges = 0
+        for v in (g.source,) if visited is None else visited:
+            self.push(v)
+
+    def push(self, w: int) -> None:
+        """Visit the frontier node ``w``."""
+        self.frontier.remove(w)
+        visited_set, open_, seen = self.visited_set, self._open, self._seen
+        self._rank[w] = len(self.visited)
+        self.visited.append(w)
+        visited_set.add(w)
+        fresh = 0
+        for x in self.g.adj[w]:
+            if x in visited_set:
+                self._inner += 1
+                open_[x] -= 1
+                if not open_[x]:
+                    self.active_stack.remove(x)
+            else:
+                fresh += 1
+                seen[x] += 1
+                if seen[x] == 1:
+                    self.frontier.add(x)
+                    self._depth[x] = self._depth[w] + 1
+        open_[w] = fresh
+        self._view_edges += fresh
+        if fresh:
+            self.active_stack.append(w)
+
+    def pop(self) -> int:
+        """Take back the last visit; the exact inverse of :meth:`push`."""
+        w = self.visited.pop()
+        visited_set, open_, seen = self.visited_set, self._open, self._seen
+        visited_set.remove(w)
+        if open_[w]:
+            self.active_stack.pop()  # the latest visit sits on top
+        fresh = open_[w] = self._rank[w] = 0
+        for x in self.g.adj[w]:
+            if x in visited_set:
+                self._inner -= 1
+                open_[x] += 1
+                if open_[x] == 1:
+                    insort(self.active_stack, x, key=self._rank.__getitem__)
+            else:
+                fresh += 1
+                seen[x] -= 1
+                if not seen[x]:
+                    self.frontier.remove(x)
+                    self._depth[x] = 0
+        self._view_edges -= fresh
+        self.frontier.add(w)
+        return w
 
     def unvisited_neighbors(self, z: int) -> tuple[int, ...]:
-        vs = self.visited_set
-        return tuple(w for w in self.view.adj[z] if w not in vs)
+        visited_set = self.visited_set
+        return tuple([w for w in self.g.adj[z] if w not in visited_set])
 
-    @cached_property
-    def active_stack(self) -> tuple[int, ...]:
-        """Visited nodes that still have unvisited neighbours, in visit order."""
-        return tuple(z for z in self.visited if self.unvisited_neighbors(z))
-
-    @cached_property
+    @property
     def cycle_among_visited(self) -> bool:
-        vs = self.visited_set
-        inner = sum(1 for u, v in self.view.edges if u in vs and v in vs)
-        return inner >= len(vs)
+        return self._inner >= len(self.visited)
 
+    @property
+    def profile(self) -> PathProfile:
+        """The view's path profile on frontier nodes, once the cycle is among the visited."""
+        return cached_profiles(self.g, self.g.source)
 
-def observe(g: Graph, visited: Sequence[int]) -> Observation:
-    return Observation(visited=tuple(visited), view=closed_subgraph(g, visited))
+    def frontier_within(self, d: int) -> set[int]:
+        """Frontier nodes with a path of length at most ``d`` inside the view."""
+        if self._view_edges >= len(self.visited) + len(self.frontier):  # the view holds the cycle
+            return self.frontier & self.profile.bounded_sets(d).within
+        depth = self._depth
+        return {w for w in self.frontier if depth[w] <= d}
 
 
 def _uniform(nodes) -> Distribution:
     nodes = sorted(nodes)
     if not nodes:
         raise EmptyFrontier("no eligible node to move to")
-    p = Fraction(1, len(nodes))
-    return tuple((v, p) for v in nodes)
+    return tuple(zip(nodes, repeat(Fraction(1, len(nodes)))))
 
 
 class SeekerPolicy:
-    """Base policy: a map from observations to frontier distributions."""
+    """Base policy: a map from search states to frontier distributions.
+
+    A policy reads a state only through its visit order, visited set,
+    frontier, active stack, ``unvisited_neighbors``, ``cycle_among_visited``,
+    ``frontier_within`` and ``profile``.
+    """
 
     kind: str = "abstract"
 
@@ -89,10 +162,10 @@ class SeekerPolicy:
     def identifier(self) -> str:
         return self.kind
 
-    def distribution(self, obs: Observation) -> Distribution:
+    def distribution(self, state: SearchState) -> Distribution:
         raise NotImplementedError
 
-    def state_key(self, obs: Observation) -> Hashable | None:
+    def state_key(self, state: SearchState) -> Hashable | None:
         """Collapse of the visit sequence to what this policy actually reads.
 
         ``None`` disables memoized enumeration for the policy.
@@ -104,18 +177,17 @@ class _RecencyPolicy(SeekerPolicy):
     """Shared collapse for policies that read the sequence only through the
     ordered stack of still-active nodes."""
 
-    def state_key(self, obs: Observation) -> Hashable:
-        return (obs.visited_set, obs.active_stack)
+    def state_key(self, state: SearchState) -> Hashable:
+        return (frozenset(state.visited_set), tuple(state.active_stack))
 
 
 class DFSPolicy(_RecencyPolicy):
     kind = "dfs"
 
-    def distribution(self, obs: Observation) -> Distribution:
-        if not obs.frontier:
+    def distribution(self, state: SearchState) -> Distribution:
+        if not state.frontier:
             raise EmptyFrontier("all nodes visited")
-        active = obs.active_stack[-1]
-        return _uniform(obs.unvisited_neighbors(active))
+        return _uniform(state.unvisited_neighbors(state.active_stack[-1]))
 
 
 class BoundedDFSPolicy(_RecencyPolicy):
@@ -132,25 +204,26 @@ class BoundedDFSPolicy(_RecencyPolicy):
     def identifier(self) -> str:
         return f"dfs_d[{self.d}]"
 
-    def distribution(self, obs: Observation) -> Distribution:
-        if not obs.frontier:
+    def distribution(self, state: SearchState) -> Distribution:
+        frontier = state.frontier
+        if not frontier:
             raise EmptyFrontier("all nodes visited")
-        prof = cached_profiles(obs.view, obs.source)
-        sets = prof.bounded_sets(self.d)
-        revealed_deep = sets.one_short & (sets.double - sets.two_near)
-        revealed_now = sets.one_short & (sets.two_near - sets.two_short)
-        stack = obs.active_stack
-
-        if obs.cycle_among_visited and obs.frontier & revealed_deep:
-            active = _last_with(obs, stack, revealed_deep)
-        elif obs.cycle_among_visited and obs.frontier & revealed_now:
-            active = _first_with(obs, stack, revealed_now)
-        elif obs.frontier & sets.within:
-            active = _last_with(obs, stack, sets.within)
-        else:
-            active = stack[-1]
-        nbrs = obs.unvisited_neighbors(active)
-        preferred = [w for w in nbrs if w in sets.within]
+        stack = state.active_stack
+        within = state.frontier_within(self.d)
+        active = None
+        if state.cycle_among_visited:
+            sets = state.profile.bounded_sets(self.d)
+            # one short path, and the second one was revealed beyond / just at the bound
+            revealed_deep = (frontier & sets.one_short & sets.double) - sets.two_near
+            revealed_now = (frontier & sets.one_short & sets.two_near) - sets.two_short
+            if revealed_deep:
+                active = _last_with(state, stack, revealed_deep)
+            elif revealed_now:
+                active = _first_with(state, stack, revealed_now)
+        if active is None:
+            active = _last_with(state, stack, within) if within else stack[-1]
+        nbrs = state.unvisited_neighbors(active)
+        preferred = [w for w in nbrs if w in within]
         return _uniform(preferred if preferred else nbrs)
 
 
@@ -159,35 +232,36 @@ class AdjustedDFSPolicy(_RecencyPolicy):
 
     kind = "adfs"
 
-    def distribution(self, obs: Observation) -> Distribution:
-        if not obs.frontier:
+    def distribution(self, state: SearchState) -> Distribution:
+        frontier = state.frontier
+        if not frontier:
             raise EmptyFrontier("all nodes visited")
-        stack = obs.active_stack
+        stack = state.active_stack
         active = None
-        if obs.cycle_among_visited:
-            prof = cached_profiles(obs.view, obs.source)
-            single = prof.single_path
-            double = prof.double_path
-            gate_single = prof.through_entrance - double
-            if obs.frontier & gate_single:
-                active = _last_with(obs, stack, single)
-            elif obs.frontier & double:
-                active = _last_with(obs, stack, double)
+        if state.cycle_among_visited:
+            prof = state.profile
+            # nodes whose one path passes the cycle entrance have no second path
+            if frontier & prof.through_entrance:
+                active = _last_with(state, stack, frontier & prof.single_path)
+            else:
+                double = frontier & prof.double_path
+                if double:
+                    active = _last_with(state, stack, double)
         if active is None:
             active = stack[-1]
-        return _uniform(obs.unvisited_neighbors(active))
+        return _uniform(state.unvisited_neighbors(active))
 
 
-def _last_with(obs: Observation, stack, members) -> int:
-    for z in reversed(stack):
-        if any(w in members for w in obs.unvisited_neighbors(z)):
-            return z
-    raise EmptyFrontier("no stacked node borders the requested set")
+def _last_with(state: SearchState, stack, members: set[int]) -> int:
+    """The latest stacked node next to ``members``, a set of frontier nodes."""
+    return _first_with(state, reversed(stack), members)
 
 
-def _first_with(obs: Observation, stack, members) -> int:
+def _first_with(state: SearchState, stack, members: set[int]) -> int:
+    """The earliest stacked node next to ``members``, a set of frontier nodes."""
+    adj = state.g.adj
     for z in stack:
-        if any(w in members for w in obs.unvisited_neighbors(z)):
+        if not members.isdisjoint(adj[z]):
             return z
     raise EmptyFrontier("no stacked node borders the requested set")
 
@@ -199,15 +273,15 @@ class LabelOrderPolicy(SeekerPolicy):
         self.lowest = lowest
         self.kind = "lowest_label" if lowest else "highest_label"
 
-    def distribution(self, obs: Observation) -> Distribution:
-        if not obs.frontier:
+    def distribution(self, state: SearchState) -> Distribution:
+        if not state.frontier:
             raise EmptyFrontier("all nodes visited")
-        pick = min(obs.frontier) if self.lowest else max(obs.frontier)
+        pick = min(state.frontier) if self.lowest else max(state.frontier)
         return ((pick, Fraction(1)),)
 
-    def state_key(self, obs: Observation) -> Hashable:
+    def state_key(self, state: SearchState) -> Hashable:
         # reads only the visited set, not the order
-        return (obs.visited_set,)
+        return (frozenset(state.visited_set),)
 
 
 class BreadthPreferringPolicy(_RecencyPolicy):
@@ -215,11 +289,10 @@ class BreadthPreferringPolicy(_RecencyPolicy):
 
     kind = "breadth_first"
 
-    def distribution(self, obs: Observation) -> Distribution:
-        if not obs.frontier:
+    def distribution(self, state: SearchState) -> Distribution:
+        if not state.frontier:
             raise EmptyFrontier("all nodes visited")
-        active = obs.active_stack[0]
-        return _uniform(obs.unvisited_neighbors(active))
+        return _uniform(state.unvisited_neighbors(state.active_stack[0]))
 
 
 class MixturePolicy(SeekerPolicy):
@@ -236,6 +309,7 @@ class MixturePolicy(SeekerPolicy):
             raise ValueError("mixture weights must sum to 1")
         self.kind = kind
         self.pointwise = pointwise
+        self.thresholds = cumulative_thresholds(w for w, _ in self.components)
 
     @property
     def identifier(self) -> str:
@@ -243,7 +317,7 @@ class MixturePolicy(SeekerPolicy):
         mode = "pointwise" if self.pointwise else "upfront"
         return f"{self.kind}[{mode}:{inner}]"
 
-    def distribution(self, obs: Observation) -> Distribution:
+    def distribution(self, state: SearchState) -> Distribution:
         if not self.pointwise:
             raise PolicyViolation(
                 "strategy-level mixture has no per-step distribution; "
@@ -251,14 +325,14 @@ class MixturePolicy(SeekerPolicy):
             )
         merged: dict[int, Fraction] = {}
         for w, policy in self.components:
-            for v, p in policy.distribution(obs):
+            for v, p in policy.distribution(state):
                 merged[v] = merged.get(v, Fraction(0)) + w * p
         return tuple(sorted(merged.items()))
 
-    def state_key(self, obs: Observation) -> Hashable | None:
+    def state_key(self, state: SearchState) -> Hashable | None:
         if not self.pointwise:
             return None
-        keys = tuple(p.state_key(obs) for _, p in self.components)
+        keys = tuple(p.state_key(state) for _, p in self.components)
         if any(k is None for k in keys):
             return None
         return keys
@@ -274,18 +348,6 @@ def sigma_star(d: int, pointwise: bool = False) -> MixturePolicy:
         (Fraction(1, 4), BoundedDFSPolicy(d)),
     )
     return MixturePolicy(components, kind="sigma_star", pointwise=pointwise)
-
-
-def dfs_next(obs: Observation) -> Distribution:
-    return DFSPolicy().distribution(obs)
-
-
-def dfs_d_next(obs: Observation, d: int) -> Distribution:
-    return BoundedDFSPolicy(d).distribution(obs)
-
-
-def adfs_next(obs: Observation) -> Distribution:
-    return AdjustedDFSPolicy().distribution(obs)
 
 
 def policy_from_id(kind: str, d: int | None = None, pointwise: bool = False) -> SeekerPolicy:
@@ -344,47 +406,33 @@ def draw(dist: Distribution, rng: random.Random) -> int:
     return dist[-1][0]
 
 
-class ExecutionCache:
-    """Cross-episode memo for repeated sampling on one graph.
+def cumulative_thresholds(weights: Iterable[Fraction]) -> tuple[float, ...]:
+    """For each running total ``acc`` of ``weights``, the smallest float ``t >= acc``.
 
-    Views depend only on the visited set.  Distributions are cached twice per
-    policy: under the exact visit prefix (cheap lookup on hot paths) and under
-    the policy's collapsed state (merges prefixes the policy cannot tell
-    apart).  Entries are exact either way.
+    For every float ``r``, ``r < acc`` holds exactly when ``r < t`` does, so
+    comparing a uniform draw with the thresholds picks what the exact
+    comparison with the running totals picks.
     """
-
-    __slots__ = ("views", "by_prefix", "by_state")
-
-    _LIMIT = 1 << 18
-
-    def __init__(self):
-        self.views: dict[frozenset[int], Subgraph] = {}
-        self.by_prefix: dict[str, dict[tuple[int, ...], Distribution]] = {}
-        self.by_state: dict[str, dict] = {}
-
-    def tables(self, policy_id: str) -> tuple[dict, dict]:
-        return (
-            self.by_prefix.setdefault(policy_id, {}),
-            self.by_state.setdefault(policy_id, {}),
-        )
-
-    def trim(self) -> None:
-        if len(self.views) > self._LIMIT:
-            self.views.clear()
-        for group in (self.by_prefix, self.by_state):
-            for table in group.values():
-                if len(table) > self._LIMIT:
-                    table.clear()
-
-
-def _pick_component(policy: MixturePolicy, rng: random.Random) -> SeekerPolicy:
-    r = rng.random()
+    out = []
     acc = Fraction(0)
-    for w, component in policy.components:
+    for w in weights:
         acc += w
-        if r < acc:
-            return component
-    return policy.components[-1][1]
+        t = float(acc)
+        if t < acc:
+            t = math.nextafter(t, math.inf)
+        out.append(t)
+    return tuple(out)
+
+
+def pick_by_thresholds(items: Sequence, thresholds: Sequence[float], r: float):
+    """The first item whose cumulative threshold exceeds ``r`` (else the last)."""
+    for item, t in zip(items, thresholds):
+        if r < t:
+            return item
+    return items[-1]
+
+
+TRIE_ENTRIES = 1 << 18  # a decision trie stops growing once it holds this many moves
 
 
 def _walk(
@@ -392,47 +440,39 @@ def _walk(
     g: Graph,
     rng: random.Random,
     stop_at: int | None,
-    cache: ExecutionCache | None,
+    cache: dict | None,
 ) -> list[int]:
     if isinstance(policy, MixturePolicy) and not policy.pointwise:
-        return _walk(_pick_component(policy, rng), g, rng, stop_at, cache)
+        policy = pick_by_thresholds(policy.components, policy.thresholds, rng.random())[1]
+    # the decision trie of (g, policy): [moves held, {source: root}], where a
+    # node is (checked distribution, {next pick: child node})
+    trie = [0, {}] if cache is None else cache.setdefault((g, policy.identifier), [0, {}])
     visited = [g.source]
-    vset = {g.source}
-    prefix_table = state_table = None
-    if cache is not None:
-        prefix_table, state_table = cache.tables(policy.identifier)
-    while len(visited) < g.n:
-        if visited[-1] == stop_at:
+    level = trie[1]
+    while len(visited) < g.n and visited[-1] != stop_at:
+        node = level.get(visited[-1])
+        if node is None:
             break
-        prefix = tuple(visited)
-        dist = prefix_table.get(prefix) if prefix_table is not None else None
-        if dist is None:
-            fs = frozenset(vset)
-            view = cache.views.get(fs) if cache is not None else None
-            if view is None:
-                view = closed_subgraph(g, visited)
-                if cache is not None:
-                    cache.views[fs] = view
-            obs = Observation(visited=prefix, view=view)
-            skey = policy.state_key(obs) if state_table is not None else None
-            if skey is not None:
-                dist = state_table.get(skey)
-            if dist is None:
-                dist = policy.distribution(obs)
-                frontier = obs.frontier
-                if any(w not in frontier for w, _ in dist):
-                    raise PolicyViolation(
-                        f"policy {policy.identifier} proposed a node off the frontier"
-                    )
-                if skey is not None:
-                    state_table[skey] = dist
-            if prefix_table is not None:
-                prefix_table[prefix] = dist
-        pick = draw(dist, rng)
-        visited.append(pick)
-        vset.add(pick)
-    if cache is not None:
-        cache.trim()
+        dist, level = node
+        visited.append(draw(dist, rng))
+    else:
+        return visited
+    # off the trie, and so for the rest of the episode: one replay, then the
+    # state follows each move; the trie grows by the node where the walk left
+    # it, so the prefixes that recur most are stored first
+    state = SearchState(g, visited)
+    grow = trie[0] < TRIE_ENTRIES
+    while len(visited) < g.n and visited[-1] != stop_at:
+        dist = policy.distribution(state)
+        if not {w for w, _ in dist} <= state.frontier:
+            raise PolicyViolation(f"policy {policy.identifier} proposed a node off the frontier")
+        if grow:
+            level[visited[-1]] = (dist, {})
+            trie[0] += len(dist)
+            grow = False
+        w = draw(dist, rng)
+        visited.append(w)
+        state.push(w)
     return visited
 
 
@@ -440,9 +480,13 @@ def execute(
     policy: SeekerPolicy,
     g: Graph,
     rng: random.Random,
-    cache: ExecutionCache | None = None,
+    cache: dict | None = None,
 ) -> Episode:
-    """Run a policy to completion; deterministic given the rng stream."""
+    """Run a policy to completion; deterministic given the rng stream.
+
+    ``cache`` maps ``(graph, policy identifier)`` to that pair's decision
+    trie and carries the tries from one episode to the next.
+    """
     return Episode(tuple(_walk(policy, g, rng, None, cache)))
 
 
@@ -451,7 +495,7 @@ def sample_position(
     g: Graph,
     h: int,
     rng: random.Random,
-    cache: ExecutionCache | None = None,
+    cache: dict | None = None,
 ) -> int:
     """Position of ``h`` in one sampled episode, stopping once it is found.
 

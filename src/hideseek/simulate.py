@@ -11,11 +11,12 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .errors import BadWorkerCount
 from .graphs import Graph
 from .hider import HiderStrategy
-from .seeker import ExecutionCache, SeekerPolicy, execute, sample_position
+from .seeker import (SeekerPolicy, cumulative_thresholds, execute, pick_by_thresholds,
+                     sample_position)
 
 WORKERS_ENV = "HIDESEEK_WORKERS"
 
@@ -31,15 +32,17 @@ def run_episode(policy: SeekerPolicy, g: Graph, h: int, seed: int, index: int) -
     return episode.pos(h)
 
 
-def _sample_atom(strategy: HiderStrategy, rng: random.Random) -> tuple[Graph, int]:
-    r = rng.random()
-    acc = Fraction(0)
-    for g, h, p in strategy.atoms:
-        acc += p
-        if r < acc:
-            return g, h
-    g, h, _ = strategy.atoms[-1]
-    return g, h
+def _worker_count(workers: int | None) -> int:
+    """``workers`` (else ``$HIDESEEK_WORKERS``, else 1), at most one per CPU."""
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise BadWorkerCount(f"{WORKERS_ENV}={raw!r} is not an integer") from None
+    if workers < 1:
+        raise BadWorkerCount(f"worker count {workers} is below 1")
+    return min(workers, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -57,17 +60,23 @@ class MonteCarloResult:
 
 
 def _run_chunk(args) -> tuple[int, int]:
+    """Sums of positions and squared positions over a run of trial indices."""
     policy, strategy, seed, start, count = args
     total = 0
     total_sq = 0
-    cache = ExecutionCache()
+    tries: dict = {}  # decision tries shared by the run's episodes
+    atoms = strategy.atoms
+    thresholds = cumulative_thresholds(p for _, _, p in atoms)
     for index in range(start, start + count):
         rng = trial_rng(seed, index)
-        g, h = _sample_atom(strategy, rng)
-        pos = sample_position(policy, g, h, rng, cache)
+        g, h, _ = pick_by_thresholds(atoms, thresholds, rng.random())
+        pos = sample_position(policy, g, h, rng, tries)
         total += pos
         total_sq += pos * pos
     return total, total_sq
+
+
+POOL_MIN_TRIALS = 5000  # fewer trials than this run in-process
 
 
 def monte_carlo(
@@ -80,20 +89,17 @@ def monte_carlo(
     """Sample mean position with a normal-approximation 95% interval."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    chunk = 5000
-    jobs = [
-        (policy, strategy, seed, start, min(chunk, trials - start))
-        for start in range(0, trials, chunk)
-    ]
-    if workers > 1 and len(jobs) > 1:
+    workers = _worker_count(workers)
+    if workers > 1 and trials > POOL_MIN_TRIALS:
         import multiprocessing
 
+        size = -(-trials // workers)
+        jobs = [(policy, strategy, seed, start, min(size, trials - start))
+                for start in range(0, trials, size)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_run_chunk, jobs)
     else:
-        parts = [_run_chunk(job) for job in jobs]
+        parts = [_run_chunk((policy, strategy, seed, 0, trials))]
     total = sum(p for p, _ in parts)
     total_sq = sum(q for _, q in parts)
     mean = total / trials

@@ -335,10 +335,10 @@ def run_equivalence(max_n: int = 7) -> SuiteReport:
             for obs in reachable_observations(dfs, g):
                 base = dfs.distribution(obs)
                 if bounded.distribution(obs) != base:
-                    bad = f"dfs_{n} differs at {obs.visited} on {sorted(g.edges)}"
+                    bad = f"dfs_{n} differs at {tuple(obs.visited)} on {sorted(g.edges)}"
                     break
                 if adjusted.distribution(obs) != base:
-                    bad = f"adfs differs at {obs.visited} on {sorted(g.edges)}"
+                    bad = f"adfs differs at {tuple(obs.visited)} on {sorted(g.edges)}"
                     break
                 observations += 1
             if bad:

