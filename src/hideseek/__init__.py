@@ -74,6 +74,7 @@ from .oracle import (
     exact_expected_pos,
     exact_position_table,
     exact_visit_prob,
+    exact_visit_table,
     hider_value,
 )
 from .simulate import MonteCarloResult, monte_carlo, run_episode

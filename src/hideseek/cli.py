@@ -13,7 +13,7 @@ import click
 from . import __version__
 from .analysis import expected_position_from_tables, tree_dfs_expected_position
 from .errors import HideSeekError
-from .graphs import Graph, graph_from_json, graph_to_json
+from .graphs import Graph, check_node, graph_from_json, graph_to_json
 from .hider import HiderStrategy, all_trees, example1_graph, example2_graph, palm_tree
 from .oracle import exact_expected_pos
 from .seeker import policy_from_id
@@ -79,17 +79,17 @@ def gen(kind, n, d, out):
 
 def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str,
                   d: int | None, trials: int, seed: int, pointwise: bool) -> str:
+    check_node(g.n, target, "target")
     if mode == "closed":
         if strategy == "dfs" and g.is_tree():
             value = tree_dfs_expected_position(g, g.source, target)
         else:
             value = expected_position_from_tables(strategy, g, g.source, target, d)
         return f"{instance},{strategy},{target},closed,{value}"
+    policy = policy_from_id(strategy, d=d, pointwise=pointwise)
     if mode == "exact":
-        policy = policy_from_id(strategy, d=d, pointwise=pointwise)
         value = exact_expected_pos(policy, g, target, memoized=True)
         return f"{instance},{strategy},{target},exact,{value}"
-    policy = policy_from_id(strategy, d=d, pointwise=pointwise)
     res = monte_carlo(policy, HiderStrategy.pure(g, target), trials, seed)
     exact = ""
     if g.n <= 12:

@@ -60,14 +60,8 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def sorted_edges(self) -> list[list[int]]:
         return [list(e) for e in sorted(self.edges)]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def is_leaf(self, v: int) -> bool:
         return len(self.adj[v]) == 1
@@ -95,9 +89,6 @@ class Subgraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -118,6 +109,7 @@ class Cycle:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]], source: int = 0) -> Graph:
     """Validate and build a Graph; raises typed errors on malformed input."""
+    check_node(n, source, "source")
     seen: set[Edge] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -134,6 +126,12 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], source: int = 0) -> Gra
         missing = sorted(set(range(n)) - set(dists))
         raise DisconnectedGraph(f"nodes unreachable from source: {missing}")
     return g
+
+
+def check_node(n: int, v, what: str = "node") -> None:
+    """Raise :class:`NodeOutOfRange` unless ``v`` is one of the nodes ``0..n-1``."""
+    if not isinstance(v, int) or not 0 <= v < n:
+        raise NodeOutOfRange(f"{what} {v} outside 0..{n - 1}")
 
 
 def bfs_distances(g, s: int) -> dict[int, int]:

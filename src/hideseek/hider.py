@@ -105,15 +105,11 @@ def palm_tree(n: int, d: int) -> Graph:
     return from_edges(n, edges)
 
 
-def crown_nodes(n: int, d: int) -> range:
-    return range(d, n)
-
-
 def palm_crown_mixed(n: int, d: int) -> HiderStrategy:
     """Uniform hiding over the crown of a single palm tree."""
     g = palm_tree(n, d)
     p = Fraction(1, n - d)
-    return HiderStrategy(tuple((g, h, p) for h in crown_nodes(n, d)))
+    return HiderStrategy(tuple((g, h, p) for h in range(d, n)))
 
 
 def optimal_hiding_depths(benefit: BenefitFunction, n: int) -> frozenset[int]:

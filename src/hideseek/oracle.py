@@ -1,30 +1,31 @@
 """Ground-truth engines: exact enumeration of randomized policies.
 
-Everything here walks the full decision tree of a policy with exact rational
-arithmetic, so results are suitable as an independent oracle for the closed
-forms in :mod:`hideseek.analysis`.
+Every quantity here is a fold over one expansion of a policy's decision tree
+(:func:`_expand`) with exact rational arithmetic, so results are suitable as
+an independent oracle for the closed forms in :mod:`hideseek.analysis`.
 
 Enumeration is sequence-keyed by default (no state is ever merged).  Passing
-``memoized=True`` collapses the visit sequence to the policy's declared
-sufficient statistic (``SeekerPolicy.state_key``); the two modes are required
-to agree and that equality is part of the test suite.  Upfront mixtures are
-always enumerated componentwise and recombined by their weights.
-
-Each walk drives one :class:`~hideseek.seeker.SearchState` depth first,
-pushing a move before it descends and popping it on the way back.
+``memoized=True`` merges the states with equal ``SeekerPolicy.state_key``,
+which turns the tree into a DAG; the two modes are required to agree and that
+equality is part of the test suite.  Single-target quantities fold during the
+expansion and stop at their targets; whole tables store the DAG and push
+probability mass through it from the root.  Upfront mixtures are always
+enumerated componentwise and recombined by their weights.  Only
+:func:`reachable_observations` walks on its own, lazily, state before children.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import TooLarge
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, bfs_distances, check_node
 from .hider import BenefitFunction, HiderStrategy, all_trees
 from .seeker import MixturePolicy, SearchState, SeekerPolicy, battery_policies
 
 DEFAULT_NODE_LIMIT = 12
-_MISS = object()
+TABLE_CACHE_ENTRIES = 1 << 16  # position tables kept; the least recently used goes first
 
 
 def _guard(g: Graph, node_limit: int | None) -> None:
@@ -32,10 +33,77 @@ def _guard(g: Graph, node_limit: int | None) -> None:
         raise TooLarge(f"enumeration guard: n = {g.n} exceeds {node_limit}")
 
 
-def _components(policy: SeekerPolicy):
-    if isinstance(policy, MixturePolicy) and not policy.pointwise:
-        return policy.components
-    return None
+def componentwise(policy: SeekerPolicy, quantity: Callable):
+    """``quantity(policy)``, with an upfront mixture taken per component and
+    recombined by its weights (value by value when ``quantity`` gives dicts)."""
+    if not isinstance(policy, MixturePolicy) or policy.pointwise:
+        return quantity(policy)
+    parts = [(w, quantity(p)) for w, p in policy.components]
+    if not isinstance(parts[0][1], dict):
+        return sum((w * part for w, part in parts), Fraction(0))
+    merged: dict = {}
+    for w, part in parts:
+        for key, value in part.items():
+            merged[key] = merged.get(key, Fraction(0)) + w * value
+    return merged
+
+
+def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop=()):
+    """Fold over the decision tree of ``policy`` on ``g``, children first.
+
+    ``fold(state, edges)`` runs once per distinct state, with ``state`` at that
+    point and ``edges`` its moves as ``(move, weight, child)``: ``child`` is
+    what the fold gave for the state the move leads to, or ``None`` for a move
+    onto a node in ``stop``, which is not expanded.  With ``memoized``, states
+    with equal ``policy.state_key`` are expanded once and share that value.
+    Returns the root's value.
+    """
+    state = SearchState(g)
+    memo: dict = {}
+
+    def go():
+        key = policy.state_key(state) if memoized else None
+        if key is not None:
+            hit = memo.get(key)
+            if hit is not None:
+                return hit
+        edges = []
+        if len(state.visited) < g.n:
+            for w, p in policy.distribution(state):
+                if w in stop:
+                    edges.append((w, p, None))
+                else:
+                    state.push(w)
+                    edges.append((w, p, go()))
+                    state.pop()
+        value = fold(state, edges)
+        if key is not None:
+            memo[key] = value
+        return value
+
+    root = go()
+    del go  # go's closure holds go itself: break that cycle so the memo is freed now
+    return root
+
+
+def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> Iterator[tuple[tuple, int, Fraction]]:
+    """Every move of the stored decision DAG as ``(visited, move, probability
+    of reaching the state and taking the move)``, parents before children."""
+    records: list = []  # (visited, edges with child indices); children first, the root last
+
+    def record(state, edges):
+        records.append((tuple(state.visited), edges))
+        return len(records) - 1
+
+    _expand(policy, g, memoized, record)
+    mass = [Fraction(0)] * len(records)
+    mass[-1] = Fraction(1)
+    for i in reversed(range(len(records))):
+        visited, edges = records[i]
+        for w, p, child in edges:
+            q = mass[i] * p
+            mass[child] += q
+            yield visited, w, q
 
 
 def exact_expected_pos(
@@ -47,39 +115,16 @@ def exact_expected_pos(
     memoized: bool = False,
 ) -> Fraction:
     """Exact expected 0-based position of ``h`` in the induced seeking sequence."""
+    check_node(g.n, h, "target")
     _guard(g, node_limit)
-    comps = _components(policy)
-    if comps is not None:
-        return sum(
-            (w * exact_expected_pos(p, g, h, node_limit=node_limit, memoized=memoized)
-             for w, p in comps),
-            Fraction(0),
-        )
     if h == g.source:
         return Fraction(0)
-    state = SearchState(g)
-    memo: dict = {}
 
-    def go() -> Fraction:
-        key = policy.state_key(state) if memoized else None
-        if key is not None:
-            hit = memo.get(key, _MISS)
-            if hit is not _MISS:
-                return hit
+    def value(state, edges):
         k = len(state.visited)
-        total = Fraction(0)
-        for w, p in policy.distribution(state):
-            if w == h:
-                total += p * k
-            else:
-                state.push(w)
-                total += p * go()
-                state.pop()
-        if key is not None:
-            memo[key] = total
-        return total
+        return sum((p * (k if child is None else child) for _, p, child in edges), Fraction(0))
 
-    return go()
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,)))
 
 
 def exact_visit_prob(
@@ -94,40 +139,18 @@ def exact_visit_prob(
     """Exact probability that ``v`` is visited strictly before ``t``."""
     if v == t:
         raise ValueError("nodes must be distinct")
+    check_node(g.n, v)
+    check_node(g.n, t, "target")
     _guard(g, node_limit)
-    comps = _components(policy)
-    if comps is not None:
-        return sum(
-            (w * exact_visit_prob(p, g, v, t, node_limit=node_limit, memoized=memoized)
-             for w, p in comps),
-            Fraction(0),
-        )
     if v == g.source:
         return Fraction(1)
     if t == g.source:
         return Fraction(0)
-    state = SearchState(g)
-    memo: dict = {}
 
-    def go() -> Fraction:
-        key = policy.state_key(state) if memoized else None
-        if key is not None:
-            hit = memo.get(key, _MISS)
-            if hit is not _MISS:
-                return hit
-        total = Fraction(0)
-        for w, p in policy.distribution(state):
-            if w == v:
-                total += p
-            elif w != t:
-                state.push(w)
-                total += p * go()
-                state.pop()
-        if key is not None:
-            memo[key] = total
-        return total
+    def value(state, edges):
+        return sum((p if w == v else p * child for w, p, child in edges if w != t), Fraction(0))
 
-    return go()
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t)))
 
 
 def exact_position_table(
@@ -137,45 +160,37 @@ def exact_position_table(
     node_limit: int | None = DEFAULT_NODE_LIMIT,
     memoized: bool = True,
 ) -> dict[int, Fraction]:
-    """Expected position of every node, from one pass over the decision tree."""
+    """Expected position of every node, from one forward pass over the decision DAG."""
     _guard(g, node_limit)
-    comps = _components(policy)
-    if comps is not None:
-        merged = {v: Fraction(0) for v in g.node_set}
-        for w, p in comps:
-            part = exact_position_table(p, g, node_limit=node_limit, memoized=memoized)
-            for v, val in part.items():
-                merged[v] += w * val
-        return merged
-    state = SearchState(g)
-    memo: dict = {}
-    full = g.node_set
 
-    def go() -> dict[int, Fraction]:
-        # expected number of further steps until each unvisited node is reached
-        if len(state.visited) == g.n:
-            return {}
-        key = policy.state_key(state) if memoized else None
-        if key is not None:
-            hit = memo.get(key, _MISS)
-            if hit is not _MISS:
-                return hit
-        acc = dict.fromkeys(full - state.visited_set, Fraction(1))
-        for w, p in policy.distribution(state):
-            state.push(w)
-            child = go()
-            state.pop()
-            for v, offset in child.items():
-                acc[v] += p * offset
-        if key is not None:
-            memo[key] = acc
-        return acc
+    def table(p):
+        out = dict.fromkeys(range(g.n), Fraction(0))
+        for visited, w, q in _moves(p, g, memoized):
+            out[w] += q * len(visited)
+        return out
 
-    offsets = go()
-    table = {g.source: Fraction(0)}
-    for v, offset in offsets.items():
-        table[v] = offset  # offsets from a single visited node are absolute positions
-    return table
+    return componentwise(policy, table)
+
+
+def exact_visit_table(
+    policy: SeekerPolicy,
+    g: Graph,
+    *,
+    node_limit: int | None = DEFAULT_NODE_LIMIT,
+) -> dict[tuple[int, int], Fraction]:
+    """P(``v`` visited strictly before ``t``) for every ordered pair ``(v, t)`` of
+    distinct nodes, from one forward pass: each move onto ``t`` adds its
+    probability to every ``(v, t)`` with ``v`` already visited."""
+    _guard(g, node_limit)
+
+    def table(p):
+        out = {(v, t): Fraction(0) for t in range(g.n) for v in range(g.n) if v != t}
+        for visited, t, q in _moves(p, g, True):
+            for v in visited:
+                out[v, t] += q
+        return out
+
+    return componentwise(policy, table)
 
 
 def episode_distribution(
@@ -186,39 +201,27 @@ def episode_distribution(
 ) -> dict[tuple[int, ...], Fraction]:
     """Full distribution over seeking sequences (small instances only)."""
     _guard(g, node_limit)
-    comps = _components(policy)
-    if comps is not None:
-        merged: dict[tuple[int, ...], Fraction] = {}
-        for w, p in comps:
-            for seq, q in episode_distribution(p, g, node_limit=node_limit).items():
-                merged[seq] = merged.get(seq, Fraction(0)) + w * q
-        return merged
-    state = SearchState(g)
-    out: dict[tuple[int, ...], Fraction] = {}
 
-    def go(prob: Fraction) -> None:
-        if len(state.visited) == g.n:
-            seq = tuple(state.visited)
-            out[seq] = out.get(seq, Fraction(0)) + prob
-            return
-        for w, p in policy.distribution(state):
-            state.push(w)
-            go(prob * p)
-            state.pop()
+    def sequences(p):
+        leaves = {visited + (w,): q for visited, w, q in _moves(p, g, False) if len(visited) == g.n - 1}
+        return leaves or {(g.source,): Fraction(1)}  # only a one-node graph has no move
 
-    go(Fraction(1))
-    return out
+    return componentwise(policy, sequences)
 
 
-_TABLE_CACHE: dict[tuple[Graph, str], dict[int, Fraction]] = {}
+_TABLE_CACHE: OrderedDict[tuple[Graph, str], dict[int, Fraction]] = OrderedDict()
 
 
 def cached_position_table(policy: SeekerPolicy, g: Graph) -> dict[int, Fraction]:
+    """:func:`exact_position_table` without the guard, kept per (graph, policy identifier)."""
     key = (g, policy.identifier)
     hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        hit = exact_position_table(policy, g, node_limit=None, memoized=True)
-        _TABLE_CACHE[key] = hit
+    if hit is not None:
+        _TABLE_CACHE.move_to_end(key)
+        return hit
+    hit = _TABLE_CACHE[key] = exact_position_table(policy, g, node_limit=None, memoized=True)
+    while len(_TABLE_CACHE) > TABLE_CACHE_ENTRIES:
+        _TABLE_CACHE.popitem(last=False)
     return hit
 
 
@@ -244,11 +247,9 @@ def best_response_hider(
 
 def hider_value(policy: SeekerPolicy, strategy: HiderStrategy, *, node_limit: int | None = DEFAULT_NODE_LIMIT) -> Fraction:
     """Expected position of the hidden node under a mixed hiding strategy."""
-    return sum(
-        (p * exact_expected_pos(policy, g, h, node_limit=node_limit, memoized=True)
-         for g, h, p in strategy.atoms),
-        Fraction(0),
-    )
+    graphs = {g for g, _, _ in strategy.atoms}
+    tables = {g: exact_position_table(policy, g, node_limit=node_limit) for g in graphs}
+    return sum((p * tables[g][h] for g, h, p in strategy.atoms), Fraction(0))
 
 
 def adversarial_policy_battery(
@@ -263,24 +264,19 @@ def adversarial_policy_battery(
     if d is None:
         dist = bfs_distances(g, g.source)
         d = max(dist[h] for _, h, _ in strategy.atoms)
-    results = []
-    for policy in battery_policies(max(d, 1)):
-        results.append((policy.identifier, hider_value(policy, strategy, node_limit=node_limit)))
-    return results
+    return [(policy.identifier, hider_value(policy, strategy, node_limit=node_limit))
+            for policy in battery_policies(max(d, 1))]
 
 
 def reachable_observations(policy: SeekerPolicy, g: Graph) -> Iterator[SearchState]:
-    """Every state reachable with positive probability under ``policy``.
-
-    Each yielded state is a copy of its own, so it stays valid as the walk
-    moves on.
-    """
+    """Every state reachable with positive probability under ``policy``, sequence-keyed and each
+    before the states it leads to, as a copy of its own that stays valid as the walk moves on."""
     state = SearchState(g)
 
     def go() -> Iterator[SearchState]:
         if len(state.visited) == g.n:
             return
-        yield SearchState(g, state.visited)
+        yield state.copy()
         for w, _ in policy.distribution(state):
             state.push(w)
             yield from go()

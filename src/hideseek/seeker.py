@@ -120,6 +120,14 @@ class SearchState:
         self.frontier.add(w)
         return w
 
+    def copy(self) -> "SearchState":
+        """An independent state at the same point, without replaying the visits."""
+        twin = SearchState.__new__(SearchState)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(twin, name, value.copy() if isinstance(value, (list, set)) else value)
+        return twin
+
     def unvisited_neighbors(self, z: int) -> tuple[int, ...]:
         visited_set = self.visited_set
         return tuple([w for w in self.g.adj[z] if w not in visited_set])

@@ -32,8 +32,9 @@ from .hider import (
 from .oracle import (
     adversarial_policy_battery,
     cached_position_table,
+    componentwise,
     exact_expected_pos,
-    exact_visit_prob,
+    exact_visit_table,
     reachable_observations,
 )
 from .seeker import (
@@ -174,6 +175,15 @@ def _corpus_pairs(instance, strategy):
                 continue
 
 
+def _visit_tables(g, d: int) -> dict[str, dict[tuple[int, int], Fraction]]:
+    """P(v before t) for every pair of ``g``, by strategy; sigma_star is mixed
+    from its components' tables, so each component DAG is expanded once."""
+    tables = {s: exact_visit_table(policy_from_id(s, d=d), g, node_limit=None)
+              for s in ("dfs", "adfs", "dfs_d")}
+    tables["sigma_star"] = componentwise(sigma_star(d), lambda p: tables[p.kind])
+    return tables
+
+
 def run_tables(corpus: str = "default") -> SuiteReport:
     """Table probabilities vs the oracle on the corpus, with branch coverage."""
     if corpus != "default":
@@ -181,13 +191,12 @@ def run_tables(corpus: str = "default") -> SuiteReport:
     report = SuiteReport("tables")
     fired: dict[str, int] = {}
     for instance in default_corpus():
-        g, d = instance.graph, instance.d
-        for strategy in ("dfs", "adfs", "dfs_d", "sigma_star"):
-            policy = policy_from_id(strategy, d=d)
+        tables = _visit_tables(instance.graph, instance.d)
+        for strategy, table in tables.items():
             bad = None
             pairs = 0
             for t, v, res in _corpus_pairs(instance, strategy):
-                got = exact_visit_prob(policy, g, v, t, node_limit=None, memoized=True)
+                got = table[v, t]
                 fired[res.case_label] = fired.get(res.case_label, 0) + 1
                 pairs += 1
                 if got != res.probability:
@@ -212,20 +221,12 @@ def run_prop1() -> SuiteReport:
     report = SuiteReport("prop1")
     for instance in default_corpus():
         g, d = instance.graph, instance.d
-        mix = sigma_star(d)
-        dfs, adfs, dfsd = DFSPolicy(), AdjustedDFSPolicy(), BoundedDFSPolicy(d)
         bound = mixture_capture_bound(g.n, d)
         dist = bfs_distances(g, 0)
-        worst = None
-        for h in range(g.n):
-            if dist[h] > d:
-                continue
-            value = exact_expected_pos(mix, g, h, node_limit=None, memoized=True)
-            if worst is None or value > worst[1]:
-                worst = (h, value)
-            if value > bound:
-                break
-        h, value = worst
+        tables = _visit_tables(g, d)
+        mixed = tables["sigma_star"]  # E[pos h] (0-based) = sum over v of P(v before h)
+        h, value = max(((h, sum(mixed[v, h] for v in range(g.n) if v != h)) for h in range(g.n) if dist[h] <= d),
+                       key=lambda hv: hv[1])
         report.add(
             f"{instance.name}/bound",
             value <= bound,
@@ -235,9 +236,9 @@ def run_prop1() -> SuiteReport:
         pairs = 0
         for t, v, res in _corpus_pairs(instance, "sigma_star"):
             combo = (
-                Fraction(3, 8) * exact_visit_prob(dfs, g, v, t, node_limit=None, memoized=True)
-                + Fraction(3, 8) * exact_visit_prob(adfs, g, v, t, node_limit=None, memoized=True)
-                + Fraction(1, 4) * exact_visit_prob(dfsd, g, v, t, node_limit=None, memoized=True)
+                Fraction(3, 8) * tables["dfs"][v, t]
+                + Fraction(3, 8) * tables["adfs"][v, t]
+                + Fraction(1, 4) * tables["dfs_d"][v, t]
             )
             pairs += 1
             if combo != res.probability:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from hideseek.cli import main
@@ -104,6 +105,27 @@ class TestEval:
         result = runner.invoke(main, ["eval", "--graph", str(graph), "--strategy", "dfs_d"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("mode,target", [("closed", "99"), ("closed", "-1"), ("exact", "99")])
+    def test_target_out_of_range(self, tmp_path, mode, target):
+        runner = CliRunner()
+        out = tmp_path / "ex1.json"
+        invoke(runner, "gen", "example1", "--n", "8", "--d", "2", "--out", str(out))
+        result = runner.invoke(main, ["eval", "--graph", str(out), "--strategy", "dfs",
+                                      "--mode", mode, "--target", target])
+        assert result.exit_code == 2
+        assert "NodeOutOfRange" in result.output and "EmptyFrontier" not in result.output
+
+    def test_source_out_of_range(self, tmp_path):
+        runner = CliRunner()
+        out = tmp_path / "ex1.json"
+        invoke(runner, "gen", "example1", "--n", "8", "--d", "2", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["source"] = 20
+        out.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eval", "--graph", str(out), "--strategy", "dfs"])
+        assert result.exit_code == 2
+        assert "NodeOutOfRange" in result.output
+
 
 class TestBatch:
     def test_rows_sorted(self, tmp_path):
@@ -141,3 +163,21 @@ class TestVerify:
             result = invoke(runner, "verify", "equivalence", "--max-n", "4")
             assert result.exit_code == 0
             assert "[equivalence] suite: PASS" in result.output
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("args,golden", [
+    (["tables"], "verify_tables.txt"),
+    (["prop1"], "verify_prop1.txt"),
+    (["lemma2"], "verify_lemma2.txt"),
+    (["equivalence", "--max-n", "6"], "verify_equivalence_max_n_6.txt"),
+])
+def test_verify_report_is_golden(args, golden):
+    """Suite reports stay byte-identical to the recorded output."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = invoke(runner, "verify", *args)
+    assert result.exit_code == 0
+    assert result.output == (GOLDEN / golden).read_text()

@@ -1,9 +1,14 @@
+import gc
 import itertools
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hideseek.errors import TooLarge
+from hideseek import oracle
+from hideseek.errors import NodeOutOfRange, TooLarge
 from hideseek.graphs import bfs_distances, from_edges
 from hideseek.hider import (
     BenefitFunction,
@@ -18,10 +23,13 @@ from hideseek.oracle import (
     exact_expected_pos,
     exact_position_table,
     exact_visit_prob,
+    exact_visit_table,
     hider_value,
+    reachable_observations,
 )
 from hideseek.seeker import (
     AdjustedDFSPolicy,
+    SearchState,
     BoundedDFSPolicy,
     DFSPolicy,
     battery_policies,
@@ -92,7 +100,7 @@ class TestMemoizedMatchesNaive:
 
     def test_visit_prob(self):
         for g in small_instances():
-            for policy in (DFSPolicy(), BoundedDFSPolicy(2), AdjustedDFSPolicy()):
+            for policy in (DFSPolicy(), BoundedDFSPolicy(2), AdjustedDFSPolicy(), sigma_star(2)):
                 for v, t in itertools.permutations(range(g.n), 2):
                     naive = exact_visit_prob(policy, g, v, t, memoized=False)
                     memo = exact_visit_prob(policy, g, v, t, memoized=True)
@@ -114,6 +122,9 @@ class TestEpisodeDistribution:
         dist = episode_distribution(DFSPolicy(), palm_tree(5, 2))
         positions = {seq.index(3) for seq in dist}
         assert positions == {2, 3, 4}
+
+    def test_one_node_graph(self):
+        assert episode_distribution(DFSPolicy(), from_edges(1, [])) == {(0,): 1}
 
     def test_table_matches_expected_pos(self):
         for g in small_instances():
@@ -166,3 +177,110 @@ def test_tree_oracle_matches_closed_form_exhaustively():
         table = exact_position_table(DFSPolicy(), g)
         for t in range(6):
             assert table[t] == tree_dfs_expected_position(g, 0, t)
+
+
+class TestNodeRange:
+    def test_target_out_of_range(self):
+        g = palm_tree(5, 2)
+        for h in (5, 99, -1):
+            with pytest.raises(NodeOutOfRange):
+                exact_expected_pos(DFSPolicy(), g, h)
+
+    def test_pair_out_of_range(self):
+        g = palm_tree(5, 2)
+        with pytest.raises(NodeOutOfRange):
+            exact_visit_prob(DFSPolicy(), g, 7, 1)
+        with pytest.raises(NodeOutOfRange):
+            exact_visit_prob(DFSPolicy(), g, 1, -1)
+
+
+def test_position_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(oracle, "TABLE_CACHE_ENTRIES", 2)
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", OrderedDict())
+    a, b, c = palm_tree(4, 1), palm_tree(4, 2), palm_tree(4, 3)
+    policy = DFSPolicy()
+    first = oracle.cached_position_table(policy, a)
+    oracle.cached_position_table(policy, b)
+    assert oracle.cached_position_table(policy, a) is first  # a is now the most recent
+    oracle.cached_position_table(policy, c)
+    assert list(oracle._TABLE_CACHE) == [(a, "dfs"), (c, "dfs")]
+    assert oracle.cached_position_table(policy, b) == exact_position_table(policy, b)
+    assert len(oracle._TABLE_CACHE) == 2 and (a, "dfs") not in oracle._TABLE_CACHE
+
+
+def test_reachable_observations_are_every_unfinished_state():
+    g, _ = example1_graph(7, 2)
+    states = list(reachable_observations(DFSPolicy(), g))
+    prefixes = {seq[:k] for seq in episode_distribution(DFSPolicy(), g) for k in range(1, g.n)}
+    assert sorted(tuple(s.visited) for s in states) == sorted(prefixes)
+    for s in states:  # each copy stands alone, as if its visits were replayed
+        assert s.frontier == SearchState(g, s.visited).frontier
+
+
+def test_reachable_observations_are_lazy_and_each_before_its_children():
+    g, _ = example1_graph(7, 2)
+    calls = []
+
+    class Counting(DFSPolicy):
+        def distribution(self, state):
+            calls.append(tuple(state.visited))
+            return super().distribution(state)
+
+    walk = reachable_observations(Counting(), g)
+    assert list(next(walk).visited) == [g.source] and calls == []
+    seen = {(g.source,)}
+    for s in walk:
+        assert tuple(s.visited[:-1]) in seen
+        seen.add(tuple(s.visited))
+
+
+@pytest.mark.parametrize("walk", [
+    lambda g: exact_expected_pos(sigma_star(2), g, 7, memoized=True),
+    lambda g: exact_visit_prob(DFSPolicy(), g, 3, 7, memoized=True),
+    lambda g: exact_position_table(DFSPolicy(), g),
+    lambda g: exact_visit_table(AdjustedDFSPolicy(), g),
+], ids=["expected_pos", "visit_prob", "position_table", "visit_table"])
+def test_walks_leave_no_reference_cycle(walk):
+    """A walk's memo and stored DAG are freed on return, not left to the cycle collector."""
+    g = palm_tree(8, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        walk(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def at_most_one_cycle(draw):
+    """A random connected graph on 2..8 nodes: a random tree, maybe plus one edge."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if chords and draw(st.booleans()):
+        edges.add(draw(st.sampled_from(chords)))
+    label = draw(st.permutations(range(n)))
+    return from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=25, deadline=None)
+@given(at_most_one_cycle(), st.integers(1, 3))
+def test_visit_table_matches_sequence_keyed_pairs(g, d):
+    """Every entry of the one-pass table is the sequence-keyed walk's value,
+    and each pair's two orders are complementary; the battery holds dfs,
+    adfs, dfs_d[d] and sigma_star(d)."""
+    for policy in battery_policies(d):
+        table = exact_visit_table(policy, g)
+        assert set(table) == set(itertools.permutations(range(g.n), 2))
+        for (v, t), prob in table.items():
+            assert prob == exact_visit_prob(policy, g, v, t, memoized=False), (policy.identifier, v, t)
+            assert prob + table[t, v] == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(at_most_one_cycle(), st.integers(1, 3))
+def test_position_table_matches_sequence_keyed_targets(g, d):
+    for policy in battery_policies(d):
+        table = exact_position_table(policy, g)
+        assert table == {h: exact_expected_pos(policy, g, h, memoized=False) for h in range(g.n)}

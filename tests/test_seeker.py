@@ -374,6 +374,11 @@ def test_search_state_matches_brute_observation(g, seed, driver):
             assert policy.state_key(state) == policy.state_key(ref)
         before = _slots(state)
         assert before == _slots(SearchState(g, state.visited))  # as if replayed
+        twin = state.copy()
+        assert _slots(twin) == before
+        if state.frontier:
+            twin.push(min(twin.frontier))  # the copy moves on alone
+            assert _slots(state) == before
         for w in sorted(state.frontier):
             state.push(w)
             assert state.pop() == w
