@@ -20,7 +20,6 @@ from .errors import (
     MultipleCycles,
     NodeOutOfRange,
     NotATree,
-    NotBehindCycle,
     PolicyViolation,
     PreconditionViolated,
     SelfLoop,
@@ -32,7 +31,6 @@ from .graphs import (
     Subgraph,
     bfs_distances,
     closed_subgraph,
-    cycle_exit,
     find_cycle,
     from_edges,
     graph_from_json,

@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotATree, PreconditionViolated
-from .graphs import (
-    Graph,
-    bfs_distances,
-    cached_profiles,
-    cycle_exit,
-    find_cycle,
-    must_pass,
-    simple_path_counts,
-)
+from .graphs import Graph, PathProfile, bfs_distances, cached_profiles
 from .hider import BenefitFunction
 
 STRATEGIES = ("dfs", "dfs_d", "adfs", "sigma_star")
@@ -156,44 +148,31 @@ def mixture_capture_bound(n: int, d: int) -> Fraction:
 @dataclass(frozen=True)
 class _PairContext:
     g: Graph
-    s: int
     t: int
     v: int
     d: int | None
-    cycle_nodes: frozenset[int]
-    single: frozenset[int]      # exactly one simple path from s
-    double: frozenset[int]      # exactly two simple paths from s
-    gate: frozenset[int]        # single-path nodes whose path passes the entrance
+    prof: PathProfile           # the simple-path structure from the source
     t_category: str             # free | gate | cycle | behind
 
-    def count_within(self, node: int, bound: int) -> int:
-        return cached_profiles(self.g, self.s).count_within(node, bound)
-
-    def distance(self, node: int) -> int:
-        return cached_profiles(self.g, self.s).distance(node)
-
     def one_short(self, node: int) -> bool:
-        return self.d is not None and self.count_within(node, self.d) == 1
+        return self.d is not None and self.prof.count_within(node, self.d) == 1
 
     def two_short(self, node: int) -> bool:
-        return self.d is not None and self.count_within(node, self.d) == 2
+        return self.d is not None and self.prof.count_within(node, self.d) == 2
 
     def cycle_fully_short(self) -> bool:
         # the entrance (or the source itself, when it sits on the cycle) has a
         # single path by definition and does not count against full coverage
         return all(
-            self.two_short(w) for w in self.cycle_nodes if w not in self.single
+            self.two_short(w) for w in self.prof.cycle_nodes if w not in self.prof.single_path
         )
 
     def cycle_meets_short(self) -> bool:
-        return any(self.two_short(w) for w in self.cycle_nodes)
+        return any(self.two_short(w) for w in self.prof.cycle_nodes)
 
     def unique_short_path_contains(self, target: int, node: int) -> bool:
         """target has exactly one path of length <= d and it passes node."""
-        assert self.d is not None
-        if self.count_within(target, self.d) != 1:
-            return False
-        return simple_path_counts(self.g, self.s, self.d, through=node)[target] == 1
+        return self.one_short(target) and node in self.prof.shortest_path(target)
 
     def aligned_cycle_pair(self) -> bool:
         """Both nodes one-short with one sitting on the other's short path.
@@ -215,46 +194,32 @@ class _PairContext:
         two entrance successors; a pendant hanging on a successor collapses
         the independent coins they rely on.
         """
-        prof = cached_profiles(self.g, self.s)
-        anchor = prof.anchor.get(node)
-        if anchor is None or prof.entrance is None:
+        anchor = self.prof.anchor.get(node)
+        if anchor is None or self.prof.entrance is None:
             return False
-        return anchor in self.g.adj[prof.entrance] and anchor in self.cycle_nodes
+        return anchor in self.g.adj[self.prof.entrance] and anchor in self.prof.cycle_nodes
 
 
 def _build_context(strategy: str, g: Graph, s: int, t: int, v: int, d: int | None) -> _PairContext:
-    cyc = find_cycle(g)
+    prof = cached_profiles(g, s)
     if v == t:
         raise PreconditionViolated("nodes-not-distinct", f"t = v = {t}")
-    prof = cached_profiles(g, s)
-    cycle_nodes = cyc.node_set if cyc is not None else frozenset()
-    if cyc is not None and not (g.is_leaf(t) or t in cycle_nodes):
+    if prof.cycle is not None and not (g.is_leaf(t) or t in prof.cycle_nodes):
         raise PreconditionViolated("target-not-leaf-or-cycle", f"t = {t}")
-    if v in must_pass(g, s, t):
+    if v in prof.cut_nodes(t):
         raise PreconditionViolated("v-on-every-target-path", f"v = {v}")
-    if t in must_pass(g, s, v):
+    if t in prof.cut_nodes(v):
         raise PreconditionViolated("target-on-every-v-path", f"t = {t}, v = {v}")
-    single = prof.single_path
-    if t in single:
+    if t in prof.single_path:
         t_category = "gate" if t in prof.through_entrance else "free"
-    elif t in cycle_nodes:
-        t_category = "cycle"
     else:
-        t_category = "behind"
-    ctx = _PairContext(
-        g=g, s=s, t=t, v=v, d=d,
-        cycle_nodes=cycle_nodes,
-        single=single,
-        double=prof.double_path,
-        gate=prof.through_entrance,
-        t_category=t_category,
-    )
+        t_category = "cycle" if t in prof.cycle_nodes else "behind"
     if strategy in ("dfs_d", "sigma_star"):
         if d is None:
             raise ValueError(f"{strategy} needs the bound d")
-        if ctx.distance(t) > d:
+        if prof.distance(t) > d:
             raise PreconditionViolated("target-beyond-bound", f"dist(s,{t}) > {d}")
-    return ctx
+    return _PairContext(g=g, t=t, v=v, d=d, prof=prof, t_category=t_category)
 
 
 def _no_row(strategy: str, detail: str):
@@ -266,16 +231,16 @@ def _dfs_value(ctx: _PairContext) -> PairwiseCaseResult:
     if ctx.t_category == "free":
         return PairwiseCaseResult(Fraction(1, 2), "dfs:free-target")
     if ctx.t_category == "gate":
-        if v in ctx.single:
+        if v in ctx.prof.single_path:
             return PairwiseCaseResult(Fraction(1, 2), "dfs:gate-target:v-single")
         return PairwiseCaseResult(Fraction(2, 3), "dfs:gate-target:v-double")
     if ctx.t_category == "cycle":
-        if v in ctx.cycle_nodes:
+        if v in ctx.prof.cycle_nodes:
             return PairwiseCaseResult(Fraction(1, 2), "dfs:cycle-pair")
         _no_row("dfs", "target on the cycle, v off it")
-    if v in ctx.cycle_nodes:
+    if v in ctx.prof.cycle_nodes:
         return PairwiseCaseResult(Fraction(3, 4), "dfs:behind-target:v-cycle")
-    if v in ctx.double:
+    if v in ctx.prof.double_path:
         return PairwiseCaseResult(Fraction(1, 2), "dfs:behind-target:v-behind")
     _no_row("dfs", "target behind the cycle, single-path v")
 
@@ -285,20 +250,20 @@ def _adfs_value(ctx: _PairContext) -> PairwiseCaseResult:
     if ctx.t_category == "free":
         return PairwiseCaseResult(Fraction(1, 2), "adfs:free-target")
     if ctx.t_category == "gate":
-        if v in ctx.single:
+        if v in ctx.prof.single_path:
             return PairwiseCaseResult(Fraction(1, 2), "adfs:gate-target:v-single")
-        if v in ctx.cycle_nodes:
+        if v in ctx.prof.cycle_nodes:
             return PairwiseCaseResult(Fraction(2, 3), "adfs:gate-target:v-cycle")
         if ctx.exit_at_entrance_successor(v):
             _no_row("adfs", "v hangs off an entrance successor (degenerate exit)")
         return PairwiseCaseResult(Fraction(1, 3), "adfs:gate-target:v-behind")
     if ctx.t_category == "cycle":
-        if v in ctx.cycle_nodes:
+        if v in ctx.prof.cycle_nodes:
             return PairwiseCaseResult(Fraction(1, 2), "adfs:cycle-pair")
         _no_row("adfs", "target on the cycle, v off it")
-    if v in ctx.cycle_nodes:
+    if v in ctx.prof.cycle_nodes:
         return PairwiseCaseResult(Fraction(3, 4), "adfs:behind-target:v-cycle")
-    if v in ctx.double:
+    if v in ctx.prof.double_path:
         return PairwiseCaseResult(Fraction(1, 2), "adfs:behind-target:v-behind")
     _no_row("adfs", "target behind the cycle, single-path v")
 
@@ -306,7 +271,7 @@ def _adfs_value(ctx: _PairContext) -> PairwiseCaseResult:
 def _require_cycle_in_reach(ctx: _PairContext, strategy: str) -> None:
     # the bounded-DFS rows are only derived when some cycle node is reachable
     # by two short paths; outside that domain the table refuses
-    if ctx.cycle_nodes and not ctx.cycle_meets_short():
+    if ctx.prof.cycle_nodes and not ctx.cycle_meets_short():
         raise PreconditionViolated(
             "cycle-outside-bound", f"{strategy}: no cycle node has two paths within d"
         )
@@ -315,7 +280,7 @@ def _require_cycle_in_reach(ctx: _PairContext, strategy: str) -> None:
 def _dfs_d_value(ctx: _PairContext) -> PairwiseCaseResult:
     v, d = ctx.v, ctx.d
     assert d is not None
-    if ctx.distance(v) > d:
+    if ctx.prof.distance(v) > d:
         # everything within reach is visited before anything beyond it,
         # regardless of how much of the cycle the bound covers
         return PairwiseCaseResult(Fraction(0), "dfs_d:far-v")
@@ -325,33 +290,32 @@ def _dfs_d_value(ctx: _PairContext) -> PairwiseCaseResult:
     if ctx.t_category == "gate":
         if ctx.two_short(v):
             return PairwiseCaseResult(Fraction(2, 3), "dfs_d:gate-target:v-two-short")
-        if v in ctx.single:
+        if v in ctx.prof.single_path:
             return PairwiseCaseResult(Fraction(1, 2), "dfs_d:gate-target:v-single-short")
         if ctx.cycle_fully_short():
             return PairwiseCaseResult(Fraction(2, 3), "dfs_d:gate-target:v-one-short-cycle-reachable")
         return PairwiseCaseResult(Fraction(1, 2), "dfs_d:gate-target:v-one-short-cycle-partial")
     if ctx.t_category == "cycle":
-        if v in ctx.cycle_nodes:
+        if v in ctx.prof.cycle_nodes:
             if ctx.aligned_cycle_pair():
                 _no_row("dfs_d", "aligned one-short cycle pair (forced order)")
             return PairwiseCaseResult(Fraction(1, 2), "dfs_d:cycle-pair")
         _no_row("dfs_d", "target on the cycle, v off it")
     # target strictly behind the cycle
-    if v in ctx.cycle_nodes:
+    if v in ctx.prof.cycle_nodes:
         if ctx.unique_short_path_contains(ctx.t, v):
             return PairwiseCaseResult(Fraction(1), "dfs_d:behind-target:v-on-short-path")
         if ctx.two_short(v):
             return PairwiseCaseResult(Fraction(3, 4), "dfs_d:behind-target:v-two-short")
         return PairwiseCaseResult(Fraction(1, 2), "dfs_d:behind-target:v-one-short")
-    if v not in ctx.double:
+    if v not in ctx.prof.double_path:
         _no_row("dfs_d", "target behind the cycle, single-path v")
     t_short, v_short = ctx.two_short(ctx.t), ctx.two_short(v)
     if t_short and not v_short:
         _no_row("dfs_d", "two-short target against one-short v is underived")
     if ctx.cycle_fully_short():
         if not t_short and v_short:
-            exit_v = cycle_exit(ctx.g, find_cycle(ctx.g), ctx.s, v)
-            if ctx.unique_short_path_contains(ctx.t, exit_v):
+            if ctx.unique_short_path_contains(ctx.t, ctx.prof.anchor[v]):
                 return PairwiseCaseResult(Fraction(5, 8), "dfs_d:both-behind:reachable:exit-on-path")
             return PairwiseCaseResult(Fraction(1, 2), "dfs_d:both-behind:reachable:exit-off-path")
         if t_short and v_short:
@@ -367,7 +331,7 @@ def _dfs_d_value(ctx: _PairContext) -> PairwiseCaseResult:
 def _sigma_value(ctx: _PairContext) -> PairwiseCaseResult:
     v, d = ctx.v, ctx.d
     assert d is not None
-    far_v = ctx.distance(v) > d
+    far_v = ctx.prof.distance(v) > d
 
     def gated(value: Fraction, label: str) -> PairwiseCaseResult:
         _require_cycle_in_reach(ctx, "sigma_star")
@@ -379,36 +343,36 @@ def _sigma_value(ctx: _PairContext) -> PairwiseCaseResult:
         return gated(Fraction(1, 2), "sigma_star:free-target:near")
     if ctx.t_category == "gate":
         if far_v:
-            if v in ctx.single:
+            if v in ctx.prof.single_path:
                 return PairwiseCaseResult(Fraction(3, 8), "sigma_star:gate-target:v-single-far")
-            if v in ctx.cycle_nodes:
+            if v in ctx.prof.cycle_nodes:
                 return PairwiseCaseResult(Fraction(1, 2), "sigma_star:gate-target:v-cycle-far")
             if ctx.exit_at_entrance_successor(v):
                 _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
             return PairwiseCaseResult(Fraction(3, 8), "sigma_star:gate-target:v-behind-far")
         if ctx.one_short(v):
-            if v in ctx.single:
+            if v in ctx.prof.single_path:
                 return gated(Fraction(1, 2), "sigma_star:gate-target:v-single-short")
-            if v in ctx.cycle_nodes:
+            if v in ctx.prof.cycle_nodes:
                 return gated(Fraction(5, 8), "sigma_star:gate-target:v-one-short-cycle")
             if ctx.exit_at_entrance_successor(v):
                 _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
             if ctx.cycle_fully_short():
                 return gated(Fraction(13, 24), "sigma_star:gate-target:v-one-short-cycle-reachable")
             return gated(Fraction(1, 2), "sigma_star:gate-target:v-one-short-cycle-partial")
-        if v in ctx.cycle_nodes:
+        if v in ctx.prof.cycle_nodes:
             return gated(Fraction(2, 3), "sigma_star:gate-target:v-two-short-cycle")
         if ctx.exit_at_entrance_successor(v):
             _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
         return gated(Fraction(13, 24), "sigma_star:gate-target:v-two-short-behind")
     if ctx.t_category == "cycle":
-        if v in ctx.cycle_nodes:
+        if v in ctx.prof.cycle_nodes:
             if ctx.aligned_cycle_pair():
                 _no_row("sigma_star", "aligned one-short cycle pair (forced order)")
             return gated(Fraction(1, 2), "sigma_star:cycle-pair")
         _no_row("sigma_star", "target on the cycle, v off it")
     # target strictly behind the cycle
-    if v in ctx.cycle_nodes:
+    if v in ctx.prof.cycle_nodes:
         if not far_v and ctx.unique_short_path_contains(ctx.t, v):
             return gated(Fraction(13, 16), "sigma_star:behind-target:v-on-short-path")
         if ctx.two_short(v):
@@ -416,7 +380,7 @@ def _sigma_value(ctx: _PairContext) -> PairwiseCaseResult:
         if ctx.one_short(v):
             return gated(Fraction(11, 16), "sigma_star:behind-target:v-one-short")
         return PairwiseCaseResult(Fraction(9, 16), "sigma_star:behind-target:v-far")
-    if v not in ctx.double:
+    if v not in ctx.prof.double_path:
         _no_row("sigma_star", "target behind the cycle, single-path v")
     if far_v:
         _no_row("sigma_star", "both behind the cycle with v beyond reach is unlisted")
@@ -425,8 +389,7 @@ def _sigma_value(ctx: _PairContext) -> PairwiseCaseResult:
         _no_row("sigma_star", "two-short target against one-short v is underived")
     if ctx.cycle_fully_short():
         if not t_short and v_short:
-            exit_v = cycle_exit(ctx.g, find_cycle(ctx.g), ctx.s, v)
-            if ctx.unique_short_path_contains(ctx.t, exit_v):
+            if ctx.unique_short_path_contains(ctx.t, ctx.prof.anchor[v]):
                 return gated(Fraction(17, 32), "sigma_star:both-behind:reachable:exit-on-path")
             return gated(Fraction(1, 2), "sigma_star:both-behind:reachable:exit-off-path")
         if t_short and v_short:
@@ -480,10 +443,11 @@ def expected_position_from_tables(
     Nodes on every source->t path contribute 1; nodes reachable only through
     ``t`` contribute 0 (expanding search cannot reach them earlier).
     """
-    anchors = must_pass(g, s, t)
+    prof = cached_profiles(g, s)
+    anchors = prof.cut_nodes(t)
     total = Fraction(len(anchors) - 1)
     for v in g.node_set - anchors:
-        if t in must_pass(g, s, v):
+        if t in prof.cut_nodes(v):
             continue
         total += pairwise_probability(strategy, g, s, t, v, d).probability
     return total

@@ -152,6 +152,8 @@ def batch(spec_path, out):
         for item in specs:
             g, file_target = graph_from_json(Path(item["graph"]).read_text())
             target = item.get("target", file_target)
+            if target is None:
+                _fail_input("no target given and the graph file names none")
             mode = item.get("mode", "exact")
             row = _evaluate_row(
                 g,

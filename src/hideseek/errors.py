@@ -25,10 +25,6 @@ class MultipleCycles(HideSeekError):
     """Raised by queries that are only defined on graphs with at most one cycle."""
 
 
-class NotBehindCycle(HideSeekError):
-    """Raised when an exit node is requested for a node whose paths avoid the cycle."""
-
-
 class NotATree(HideSeekError):
     pass
 

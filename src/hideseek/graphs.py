@@ -2,11 +2,14 @@
 
 Two node-container types live here.  ``Graph`` is the validated, dense
 representation used for full game instances (nodes ``0..n-1``, source ``0``).
-``Subgraph`` is a lightweight fragment over an arbitrary node subset; it is
-what a seeker observes (a closed induced subgraph) and what the structural
-queries run on during policy evaluation.
+``Subgraph`` is a lightweight fragment over an arbitrary node subset, such as
+the closed induced subgraph over a visit sequence.
 
-All query functions are pure and accept either type.
+All query functions are pure and accept either type.  ``path_profiles`` (and
+its memoized ``cached_profiles``) answers every simple-path question the
+engines ask; ``must_pass``, ``simple_path_counts`` and ``closed_subgraph`` are
+brute, definitional references that the tests and benchmarks check it
+against.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from .errors import (
     DuplicateEdge,
     MultipleCycles,
     NodeOutOfRange,
-    NotBehindCycle,
     SelfLoop,
 )
 
@@ -230,7 +232,6 @@ class BoundedClassSets:
     one_short: frozenset[int]    # exactly one path fits the bound
     two_short: frozenset[int]    # both paths fit the bound
     two_near: frozenset[int]     # both paths fit bound + 1
-    double: frozenset[int]       # two simple paths regardless of length
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,8 @@ class PathProfile:
 
     ``lengths[v]`` holds the sorted lengths of all simple source->v paths
     (one entry off the cycle's influence, two entries otherwise).  The
-    decomposition fields expose where each node hangs relative to the cycle.
+    decomposition fields expose where each node hangs relative to the cycle,
+    and ``parent`` is a shortest-path tree that the path queries walk.
     """
 
     source: int
@@ -247,15 +249,31 @@ class PathProfile:
     lengths: dict[int, tuple[int, ...]]
     anchor: dict[int, int]          # nearest cycle node for nodes outside the source tree
     source_tree: frozenset[int]     # nodes whose unique path stays inside the source's forest tree
-    forest_dist: dict[int, int]     # distances from source within the source tree
     entrance: int | None            # cycle node closest to the source
-    entrance_dist: dict[int, int]   # forest distances from the entrance (empty on trees)
+    parent: dict[int, int]          # BFS predecessor of every other node, in BFS order
 
     def count_within(self, v: int, bound: int) -> int:
         return sum(1 for length in self.lengths.get(v, ()) if length <= bound)
 
     def distance(self, v: int) -> int:
         return self.lengths[v][0]
+
+    def shortest_path(self, v: int) -> tuple[int, ...]:
+        """A shortest source->v path; the only path of length <= d when just one fits d."""
+        path = [v]
+        while path[-1] != self.source:
+            path.append(self.parent[path[-1]])
+        return tuple(reversed(path))
+
+    def cut_nodes(self, v: int) -> frozenset[int]:
+        """Nodes on every source->v path, both ends included.
+
+        That is the shortest path without the cycle nodes it merely crosses:
+        every path enters the cycle at the entrance and leaves it at ``v``'s
+        anchor (``v`` itself on the cycle), going either way round between.
+        """
+        keep = (self.entrance, self.anchor.get(v, v))
+        return frozenset(x for x in self.shortest_path(v) if x not in self.cycle_nodes or x in keep)
 
     def bounded_sets(self, bound: int) -> BoundedClassSets:
         cache = self.__dict__.setdefault("_bounded_cache", {})
@@ -266,7 +284,6 @@ class PathProfile:
         one_short: set[int] = set()
         two_short: set[int] = set()
         two_near: set[int] = set()
-        double: set[int] = set()
         near = bound + 1
         for v, ls in self.lengths.items():
             fit = 0
@@ -281,17 +298,18 @@ class PathProfile:
                 (one_short if fit == 1 else two_short).add(v)
             if fit_near == 2:
                 two_near.add(v)
-            if len(ls) == 2:
-                double.add(v)
         hit = BoundedClassSets(
             within=frozenset(within),
             one_short=frozenset(one_short),
             two_short=frozenset(two_short),
             two_near=frozenset(two_near),
-            double=frozenset(double),
         )
         cache[bound] = hit
         return hit
+
+    @cached_property
+    def cycle_nodes(self) -> frozenset[int]:
+        return self.cycle.node_set if self.cycle is not None else frozenset()
 
     @cached_property
     def single_path(self) -> frozenset[int]:
@@ -308,10 +326,25 @@ class PathProfile:
         c = self.entrance
         if c is None:
             return frozenset()
-        fd, ed = self.forest_dist, self.entrance_dist
-        return frozenset(
-            v for v in self.source_tree if fd[c] + ed[v] == fd[v]
-        )
+        gate = {c}
+        for v, u in self.parent.items():  # BFS order: a parent comes before its children
+            if u in gate and v in self.source_tree:
+                gate.add(v)
+        return frozenset(gate)
+
+
+def _bfs_parents(g, s: int) -> dict[int, int]:
+    """Each node's predecessor in a breadth-first search from ``s``, in visiting order."""
+    parent: dict[int, int] = {}
+    queue = deque([s])
+    adj = g.adj
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w != s and w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
 
 
 def path_profiles(g, s: int) -> PathProfile:
@@ -325,9 +358,8 @@ def path_profiles(g, s: int) -> PathProfile:
             lengths={v: (d,) for v, d in dist.items()},
             anchor={},
             source_tree=frozenset(dist),
-            forest_dist=dict(dist),
             entrance=None,
-            entrance_dist={},
+            parent=_bfs_parents(g, s),
         )
     cyc_set = cyc.node_set
     cycle_edges = set()
@@ -381,9 +413,8 @@ def path_profiles(g, s: int) -> PathProfile:
         lengths=lengths,
         anchor=anchor,
         source_tree=source_tree,
-        forest_dist=dict(src_dist),
         entrance=c,
-        entrance_dist=forest_bfs(c),
+        parent=_bfs_parents(g, s),
     )
 
 
@@ -420,23 +451,6 @@ def simple_path_counts(g, s: int, d: int, through: int | None = None) -> dict[in
 
     walk(s, 0, through is None or s == through)
     return counts
-
-
-def cycle_exit(g, cycle: Cycle, s: int, v: int) -> int:
-    """The last cycle node on the path(s) from ``s`` to ``v``.
-
-    Raises :class:`NotBehindCycle` when no source->v path passes through the
-    cycle (merely starting on it, as the source's own subtree does, does not
-    count).
-    """
-    if v in cycle.node_set:
-        raise ValueError(f"node {v} lies on the cycle itself")
-    prof = path_profiles(g, s)
-    if v in prof.source_tree:
-        if prof.entrance != s and v in prof.through_entrance:
-            return prof.entrance
-        raise NotBehindCycle(f"no path from {s} to {v} passes through the cycle")
-    return prof.anchor[v]
 
 
 def closed_subgraph(g, xs: Iterable[int]) -> Subgraph:

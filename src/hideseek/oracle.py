@@ -282,4 +282,7 @@ def reachable_observations(policy: SeekerPolicy, g: Graph) -> Iterator[SearchSta
             yield from go()
             state.pop()
 
-    yield from go()
+    try:
+        yield from go()
+    finally:
+        del go  # go's closure holds go itself: break that cycle so the walk's state is freed now

@@ -220,9 +220,10 @@ class BoundedDFSPolicy(_RecencyPolicy):
         within = state.frontier_within(self.d)
         active = None
         if state.cycle_among_visited:
-            sets = state.profile.bounded_sets(self.d)
+            prof = state.profile
+            sets = prof.bounded_sets(self.d)
             # one short path, and the second one was revealed beyond / just at the bound
-            revealed_deep = (frontier & sets.one_short & sets.double) - sets.two_near
+            revealed_deep = (frontier & sets.one_short & prof.double_path) - sets.two_near
             revealed_now = (frontier & sets.one_short & sets.two_near) - sets.two_short
             if revealed_deep:
                 active = _last_with(state, stack, revealed_deep)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from hideseek.analysis import (
     ALL_CASE_LABELS,
@@ -17,8 +18,10 @@ from hideseek.corpus import default_corpus
 from hideseek.errors import MultipleCycles, NotATree, PreconditionViolated
 from hideseek.graphs import from_edges
 from hideseek.hider import BenefitFunction, example1_graph, example2_graph, palm_tree
-from hideseek.oracle import exact_expected_pos
-from hideseek.seeker import sigma_star
+from hideseek.oracle import exact_expected_pos, exact_visit_prob, exact_visit_table
+from hideseek.seeker import AdjustedDFSPolicy, BoundedDFSPolicy, DFSPolicy, sigma_star
+
+from graph_strategies import at_most_one_cycle
 
 
 def line(n):
@@ -168,6 +171,42 @@ class TestComplementarity:
                         assert a + b == 1, (inst.name, strategy, t, v)
                         checked += 1
         assert checked > 200
+
+
+class TestTablesAgainstOracle:
+    """Wherever a table admits a pair, its probability is the oracle's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(at_most_one_cycle(max_n=8))
+    def test_dfs_and_adfs_admitted_pairs(self, g):
+        for strategy, policy in (("dfs", DFSPolicy()), ("adfs", AdjustedDFSPolicy())):
+            table = exact_visit_table(policy, g)
+            for t in range(g.n):
+                for v in range(g.n):
+                    try:
+                        res = pairwise_probability(strategy, g, 0, t, v)
+                    except PreconditionViolated:
+                        continue
+                    assert res.probability == table[v, t], (strategy, t, v, res.case_label)
+
+    # A known gap in the dfs_d rows (and the sigma_star rows built the same
+    # way): behind a cycle that is only partly within reach, both pairs below
+    # are admitted with a value the oracle contradicts.
+    DEFECT = from_edges(7, [(0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (3, 4), (4, 6)])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="dfs_d both-behind:partial:both-one-short gives 1/2; oracle 5/8")
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_dfs_d_both_one_short_partial(self, memoized):
+        res = pairwise_probability("dfs_d", self.DEFECT, 0, 2, 3, 3)
+        assert res.probability == exact_visit_prob(BoundedDFSPolicy(3), self.DEFECT, 3, 2, memoized=memoized)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="dfs_d behind-target:v-on-short-path gives 1; oracle 3/4")
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_dfs_d_cycle_node_on_short_path(self, memoized):
+        res = pairwise_probability("dfs_d", self.DEFECT, 0, 2, 5, 3)
+        assert res.probability == exact_visit_prob(BoundedDFSPolicy(3), self.DEFECT, 5, 2, memoized=memoized)
 
 
 class TestExpectedPosition:

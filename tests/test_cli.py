@@ -146,6 +146,17 @@ class TestBatch:
         assert lines[0] == "instance,strategy,target,mode,value"
         assert lines[1:] == sorted(lines[1:])
 
+    def test_missing_target_fails_like_eval(self, tmp_path):
+        runner = CliRunner()
+        palm = tmp_path / "palm.json"
+        invoke(runner, "gen", "palm", "--n", "6", "--d", "2", "--out", str(palm))
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps([{"graph": str(palm), "strategy": "dfs"}]))
+        result = runner.invoke(main, ["batch", "--spec", str(spec)])
+        assert result.exit_code == 2
+        assert "no target given and the graph file names none" in result.output
+        assert "NodeOutOfRange" not in result.output
+
 
 class TestVerify:
     def test_lemma1_small(self):

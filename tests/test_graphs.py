@@ -9,13 +9,11 @@ from hideseek.errors import (
     DuplicateEdge,
     MultipleCycles,
     NodeOutOfRange,
-    NotBehindCycle,
     SelfLoop,
 )
 from hideseek.graphs import (
     bfs_distances,
     closed_subgraph,
-    cycle_exit,
     find_cycle,
     from_edges,
     graph_from_json,
@@ -25,6 +23,8 @@ from hideseek.graphs import (
     simple_path_counts,
 )
 from hideseek.hider import example1_graph, example2_graph, palm_tree, prufer_decode
+
+from graph_strategies import at_most_one_cycle
 
 
 def _buckets(counts) -> dict[int, frozenset[int]]:
@@ -147,6 +147,35 @@ class TestMustPass:
         g = palm_tree(7, 3)
         for t in range(7):
             assert len(must_pass(g, 0, t)) == bfs_distances(g, 0)[t] + 1
+
+
+class TestProfilePathQueries:
+    """``PathProfile.cut_nodes`` and ``shortest_path`` against the brute references."""
+
+    def test_even_cycle_antipode(self):
+        prof = path_profiles(even_cycle(6), 0)
+        assert prof.cut_nodes(3) == frozenset({0, 3})
+        assert len(prof.shortest_path(3)) == 4
+
+    def test_example1_target_path(self):
+        g, t = example1_graph(10, 3)
+        prof = path_profiles(g, 0)
+        assert prof.shortest_path(t) == (0, 1, 2, 3)
+        assert prof.cut_nodes(t) == frozenset({0, 1, 2, 3})
+
+    @settings(max_examples=150, deadline=None)
+    @given(at_most_one_cycle(max_n=9))
+    def test_match_brute_on_random_graphs(self, g):
+        prof = path_profiles(g, 0)
+        for t in range(g.n):
+            assert prof.cut_nodes(t) == must_pass(g, 0, t)
+        for d in range(g.n):
+            unique = [t for t, k in simple_path_counts(g, 0, d).items() if k == 1]
+            for x in range(g.n):
+                through = simple_path_counts(g, 0, d, through=x)
+                for t in unique:
+                    # t's one path within d passes x exactly when x is on its shortest path
+                    assert (x in prof.shortest_path(t)) == (through[t] == 1), (d, x, t)
 
 
 class TestFindCycle:
@@ -272,17 +301,24 @@ class TestEntranceExit:
 
     def test_pendant_exit(self):
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
-        assert cycle_exit(g, find_cycle(g), 0, 4) == 3
+        assert path_profiles(g, 0).anchor[4] == 3
+
+    def test_entrance_pendant_exits_at_entrance(self):
+        # a pendant on the stalk's entrance: its one path passes the cycle there
+        g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
+        prof = path_profiles(g, 0)
+        assert prof.entrance == 1 and 4 not in prof.anchor
+        assert prof.through_entrance == frozenset({1, 4})
 
     def test_example2_pendant_exit_is_antipode(self):
         g, _ = example2_graph(17, 5)
-        cyc = find_cycle(g)
+        prof = path_profiles(g, 0)
         antipode = None
         dist = bfs_distances(g, 0)
         for v in range(13, 17):
-            ex = cycle_exit(g, cyc, 0, v)
+            ex = prof.anchor[v]
             # the exit carries two equal-length arcs back to the source
-            assert ex in cyc.node_set and dist[ex] == 4
+            assert ex in prof.cycle.node_set and dist[ex] == 4
             antipode = ex
         # confirmed against explicit path enumeration
         for p in brute_simple_paths(g, 0):
@@ -290,9 +326,11 @@ class TestEntranceExit:
                 assert antipode in p
 
     def test_source_side_not_behind(self):
+        # the source sits on the cycle, so the tail's paths never pass through it
         g, _ = example1_graph(10, 3)
-        with pytest.raises(NotBehindCycle):
-            cycle_exit(g, find_cycle(g), 0, 2)
+        prof = path_profiles(g, 0)
+        assert prof.entrance == 0 and 2 not in prof.anchor
+        assert set(prof.shortest_path(2)) & prof.cycle.node_set == {0}
 
 
 class TestClosedSubgraph:

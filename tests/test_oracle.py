@@ -36,6 +36,8 @@ from hideseek.seeker import (
     sigma_star,
 )
 
+from graph_strategies import at_most_one_cycle
+
 
 def line(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -239,9 +241,10 @@ def test_reachable_observations_are_lazy_and_each_before_its_children():
     lambda g: exact_visit_prob(DFSPolicy(), g, 3, 7, memoized=True),
     lambda g: exact_position_table(DFSPolicy(), g),
     lambda g: exact_visit_table(AdjustedDFSPolicy(), g),
-], ids=["expected_pos", "visit_prob", "position_table", "visit_table"])
+    lambda g: list(reachable_observations(DFSPolicy(), g)),
+], ids=["expected_pos", "visit_prob", "position_table", "visit_table", "observations"])
 def test_walks_leave_no_reference_cycle(walk):
-    """A walk's memo and stored DAG are freed on return, not left to the cycle collector."""
+    """A walk's memo, stored DAG or search state is freed on return, not left to the cycle collector."""
     g = palm_tree(8, 3)
     gc.collect()
     gc.disable()
@@ -252,20 +255,8 @@ def test_walks_leave_no_reference_cycle(walk):
         gc.enable()
 
 
-@st.composite
-def at_most_one_cycle(draw):
-    """A random connected graph on 2..8 nodes: a random tree, maybe plus one edge."""
-    n = draw(st.integers(2, 8))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    if chords and draw(st.booleans()):
-        edges.add(draw(st.sampled_from(chords)))
-    label = draw(st.permutations(range(n)))
-    return from_edges(n, [(label[u], label[v]) for u, v in edges])
-
-
 @settings(max_examples=25, deadline=None)
-@given(at_most_one_cycle(), st.integers(1, 3))
+@given(at_most_one_cycle(max_n=8), st.integers(1, 3))
 def test_visit_table_matches_sequence_keyed_pairs(g, d):
     """Every entry of the one-pass table is the sequence-keyed walk's value,
     and each pair's two orders are complementary; the battery holds dfs,
@@ -279,7 +270,7 @@ def test_visit_table_matches_sequence_keyed_pairs(g, d):
 
 
 @settings(max_examples=25, deadline=None)
-@given(at_most_one_cycle(), st.integers(1, 3))
+@given(at_most_one_cycle(max_n=8), st.integers(1, 3))
 def test_position_table_matches_sequence_keyed_targets(g, d):
     for policy in battery_policies(d):
         table = exact_position_table(policy, g)

@@ -26,6 +26,8 @@ from hideseek.seeker import (
     sigma_star,
 )
 
+from graph_strategies import at_most_one_cycle
+
 
 def line(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -319,18 +321,6 @@ def test_distributions_are_proper(n, data):
         assert all(v in state.frontier for v, _ in dist)
 
 
-@st.composite
-def at_most_one_cycle(draw):
-    """A random connected graph on 2..9 nodes: a random tree, maybe plus one edge."""
-    n = draw(st.integers(2, 9))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    if chords and draw(st.booleans()):
-        edges.add(draw(st.sampled_from(chords)))
-    label = draw(st.permutations(range(n)))
-    return from_edges(n, [(label[u], label[v]) for u, v in edges])
-
-
 def _policies(n):
     return [DFSPolicy(), AdjustedDFSPolicy(), LabelOrderPolicy(True), LabelOrderPolicy(False),
             BreadthPreferringPolicy(), sigma_star(2, pointwise=True),
@@ -344,7 +334,7 @@ def _slots(state):
 
 
 @settings(max_examples=150, deadline=None)
-@given(at_most_one_cycle(), st.integers(0, 10_000), st.sampled_from(["dfs", "adfs", "dfs_d"]))
+@given(at_most_one_cycle(max_n=9), st.integers(0, 10_000), st.sampled_from(["dfs", "adfs", "dfs_d"]))
 def test_search_state_matches_brute_observation(g, seed, driver):
     """Along a sampled episode the incremental state reads like the rebuilt view,
     every policy decides alike on both, and push then pop restores every slot."""
@@ -386,7 +376,7 @@ def test_search_state_matches_brute_observation(g, seed, driver):
 
 
 @settings(max_examples=40, deadline=None)
-@given(at_most_one_cycle(), st.integers(0, 10_000))
+@given(at_most_one_cycle(max_n=9), st.integers(0, 10_000))
 def test_trie_walks_match_fresh_walks(g, seed):
     """Episodes read off a shared decision trie equal those computed afresh."""
     cache: dict = {}
