@@ -10,6 +10,7 @@ enumeration oracles, and a Monte Carlo harness, plus a CLI to drive them.
 __version__ = "0.1.0"
 
 from .errors import (
+    BadGraphFile,
     BadHeight,
     BadShape,
     BadWorkerCount,

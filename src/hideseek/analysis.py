@@ -27,80 +27,77 @@ from .hider import BenefitFunction
 
 STRATEGIES = ("dfs", "dfs_d", "adfs", "sigma_star")
 
-# The closed universe of table probabilities.  17/32 is produced by the
-# upfront mixture when the cycle lies fully within reach and the revealed
-# node's exit sits on the target's short path (1/2 + 1/32).
-TABLE_PROBABILITIES = frozenset(
-    Fraction(*pair)
-    for pair in [
-        (0, 1), (1, 3), (3, 8), (1, 2), (17, 32), (13, 24), (9, 16),
-        (5, 8), (2, 3), (11, 16), (3, 4), (13, 16), (1, 1),
-    ]
-)
+# Every row of the pairwise tables: its case label and its probability.  The
+# value functions below pick a label; this map is the only place a row's
+# probability lives.
+ROWS: dict[str, Fraction] = {
+    "dfs:free-target": Fraction(1, 2),
+    "dfs:gate-target:v-single": Fraction(1, 2),
+    "dfs:gate-target:v-double": Fraction(2, 3),
+    "dfs:cycle-pair": Fraction(1, 2),
+    "dfs:behind-target:v-cycle": Fraction(3, 4),
+    "dfs:behind-target:v-behind": Fraction(1, 2),
+
+    "adfs:free-target": Fraction(1, 2),
+    "adfs:gate-target:v-single": Fraction(1, 2),
+    "adfs:gate-target:v-cycle": Fraction(2, 3),
+    "adfs:gate-target:v-behind": Fraction(1, 3),
+    "adfs:cycle-pair": Fraction(1, 2),
+    "adfs:behind-target:v-cycle": Fraction(3, 4),
+    "adfs:behind-target:v-behind": Fraction(1, 2),
+
+    "dfs_d:far-v": Fraction(0),
+    "dfs_d:free-target": Fraction(1, 2),
+    "dfs_d:gate-target:v-two-short": Fraction(2, 3),
+    "dfs_d:gate-target:v-single-short": Fraction(1, 2),
+    "dfs_d:gate-target:v-one-short-cycle-reachable": Fraction(2, 3),
+    "dfs_d:gate-target:v-one-short-cycle-partial": Fraction(1, 2),
+    "dfs_d:cycle-pair": Fraction(1, 2),
+    "dfs_d:behind-target:v-on-short-path": Fraction(1),
+    "dfs_d:behind-target:v-two-short": Fraction(3, 4),
+    "dfs_d:behind-target:v-one-short": Fraction(1, 2),
+    "dfs_d:both-behind:reachable:exit-on-path": Fraction(5, 8),
+    "dfs_d:both-behind:reachable:exit-off-path": Fraction(1, 2),
+    "dfs_d:both-behind:reachable:both-short": Fraction(1, 2),
+    "dfs_d:both-behind:reachable:both-one-short": Fraction(1, 2),
+    "dfs_d:both-behind:partial:target-one-v-two": Fraction(3, 4),
+    "dfs_d:both-behind:partial:both-short": Fraction(1, 2),
+    "dfs_d:both-behind:partial:both-one-short": Fraction(1, 2),
+
+    "sigma_star:free-target:far": Fraction(3, 8),
+    "sigma_star:free-target:near": Fraction(1, 2),
+    "sigma_star:gate-target:v-single-far": Fraction(3, 8),
+    "sigma_star:gate-target:v-cycle-far": Fraction(1, 2),
+    "sigma_star:gate-target:v-behind-far": Fraction(3, 8),
+    "sigma_star:gate-target:v-single-short": Fraction(1, 2),
+    "sigma_star:gate-target:v-one-short-cycle": Fraction(5, 8),
+    "sigma_star:gate-target:v-one-short-cycle-reachable": Fraction(13, 24),
+    "sigma_star:gate-target:v-one-short-cycle-partial": Fraction(1, 2),
+    "sigma_star:gate-target:v-two-short-cycle": Fraction(2, 3),
+    "sigma_star:gate-target:v-two-short-behind": Fraction(13, 24),
+    "sigma_star:cycle-pair": Fraction(1, 2),
+    "sigma_star:behind-target:v-on-short-path": Fraction(13, 16),
+    "sigma_star:behind-target:v-two-short": Fraction(3, 4),
+    "sigma_star:behind-target:v-one-short": Fraction(11, 16),
+    "sigma_star:behind-target:v-far": Fraction(9, 16),
+    # the upfront mixture when the cycle lies fully within reach and the
+    # revealed node's exit sits on the target's short path: 1/2 + 1/32
+    "sigma_star:both-behind:reachable:exit-on-path": Fraction(17, 32),
+    "sigma_star:both-behind:reachable:exit-off-path": Fraction(1, 2),
+    "sigma_star:both-behind:reachable:both-short": Fraction(1, 2),
+    "sigma_star:both-behind:reachable:both-one-short": Fraction(1, 2),
+    "sigma_star:both-behind:partial:target-one-v-two": Fraction(9, 16),
+    "sigma_star:both-behind:partial:both-short": Fraction(1, 2),
+    "sigma_star:both-behind:partial:both-one-short": Fraction(1, 2),
+}
+
+# The closed universe of table probabilities.
+TABLE_PROBABILITIES = frozenset(ROWS.values())
 
 # Every case label each strategy's table can emit (used for coverage audits).
 ALL_CASE_LABELS: dict[str, frozenset[str]] = {
-    "dfs": frozenset({
-        "dfs:free-target",
-        "dfs:gate-target:v-single",
-        "dfs:gate-target:v-double",
-        "dfs:cycle-pair",
-        "dfs:behind-target:v-cycle",
-        "dfs:behind-target:v-behind",
-    }),
-    "adfs": frozenset({
-        "adfs:free-target",
-        "adfs:gate-target:v-single",
-        "adfs:gate-target:v-cycle",
-        "adfs:gate-target:v-behind",
-        "adfs:cycle-pair",
-        "adfs:behind-target:v-cycle",
-        "adfs:behind-target:v-behind",
-    }),
-    "dfs_d": frozenset({
-        "dfs_d:far-v",
-        "dfs_d:free-target",
-        "dfs_d:gate-target:v-two-short",
-        "dfs_d:gate-target:v-single-short",
-        "dfs_d:gate-target:v-one-short-cycle-reachable",
-        "dfs_d:gate-target:v-one-short-cycle-partial",
-        "dfs_d:cycle-pair",
-        "dfs_d:behind-target:v-on-short-path",
-        "dfs_d:behind-target:v-two-short",
-        "dfs_d:behind-target:v-one-short",
-        "dfs_d:both-behind:reachable:exit-on-path",
-        "dfs_d:both-behind:reachable:exit-off-path",
-        "dfs_d:both-behind:reachable:both-short",
-        "dfs_d:both-behind:reachable:both-one-short",
-        "dfs_d:both-behind:partial:target-one-v-two",
-        "dfs_d:both-behind:partial:both-short",
-        "dfs_d:both-behind:partial:both-one-short",
-    }),
-    "sigma_star": frozenset({
-        "sigma_star:free-target:near",
-        "sigma_star:free-target:far",
-        "sigma_star:gate-target:v-single-short",
-        "sigma_star:gate-target:v-one-short-cycle",
-        "sigma_star:gate-target:v-one-short-cycle-reachable",
-        "sigma_star:gate-target:v-one-short-cycle-partial",
-        "sigma_star:gate-target:v-two-short-cycle",
-        "sigma_star:gate-target:v-two-short-behind",
-        "sigma_star:gate-target:v-single-far",
-        "sigma_star:gate-target:v-cycle-far",
-        "sigma_star:gate-target:v-behind-far",
-        "sigma_star:cycle-pair",
-        "sigma_star:behind-target:v-on-short-path",
-        "sigma_star:behind-target:v-two-short",
-        "sigma_star:behind-target:v-one-short",
-        "sigma_star:behind-target:v-far",
-        "sigma_star:both-behind:reachable:exit-on-path",
-        "sigma_star:both-behind:reachable:exit-off-path",
-        "sigma_star:both-behind:reachable:both-short",
-        "sigma_star:both-behind:reachable:both-one-short",
-        "sigma_star:both-behind:partial:target-one-v-two",
-        "sigma_star:both-behind:partial:both-short",
-        "sigma_star:both-behind:partial:both-one-short",
-    }),
+    strategy: frozenset(label for label in ROWS if label.startswith(strategy + ":"))
+    for strategy in dict.fromkeys(label.split(":", 1)[0] for label in ROWS)
 }
 
 
@@ -226,45 +223,45 @@ def _no_row(strategy: str, detail: str):
     raise PreconditionViolated("no-table-row", f"{strategy}: {detail}")
 
 
-def _dfs_value(ctx: _PairContext) -> PairwiseCaseResult:
+def _dfs_value(ctx: _PairContext) -> str:
     v = ctx.v
     if ctx.t_category == "free":
-        return PairwiseCaseResult(Fraction(1, 2), "dfs:free-target")
+        return "dfs:free-target"
     if ctx.t_category == "gate":
         if v in ctx.prof.single_path:
-            return PairwiseCaseResult(Fraction(1, 2), "dfs:gate-target:v-single")
-        return PairwiseCaseResult(Fraction(2, 3), "dfs:gate-target:v-double")
+            return "dfs:gate-target:v-single"
+        return "dfs:gate-target:v-double"
     if ctx.t_category == "cycle":
         if v in ctx.prof.cycle_nodes:
-            return PairwiseCaseResult(Fraction(1, 2), "dfs:cycle-pair")
+            return "dfs:cycle-pair"
         _no_row("dfs", "target on the cycle, v off it")
     if v in ctx.prof.cycle_nodes:
-        return PairwiseCaseResult(Fraction(3, 4), "dfs:behind-target:v-cycle")
+        return "dfs:behind-target:v-cycle"
     if v in ctx.prof.double_path:
-        return PairwiseCaseResult(Fraction(1, 2), "dfs:behind-target:v-behind")
+        return "dfs:behind-target:v-behind"
     _no_row("dfs", "target behind the cycle, single-path v")
 
 
-def _adfs_value(ctx: _PairContext) -> PairwiseCaseResult:
+def _adfs_value(ctx: _PairContext) -> str:
     v = ctx.v
     if ctx.t_category == "free":
-        return PairwiseCaseResult(Fraction(1, 2), "adfs:free-target")
+        return "adfs:free-target"
     if ctx.t_category == "gate":
         if v in ctx.prof.single_path:
-            return PairwiseCaseResult(Fraction(1, 2), "adfs:gate-target:v-single")
+            return "adfs:gate-target:v-single"
         if v in ctx.prof.cycle_nodes:
-            return PairwiseCaseResult(Fraction(2, 3), "adfs:gate-target:v-cycle")
+            return "adfs:gate-target:v-cycle"
         if ctx.exit_at_entrance_successor(v):
             _no_row("adfs", "v hangs off an entrance successor (degenerate exit)")
-        return PairwiseCaseResult(Fraction(1, 3), "adfs:gate-target:v-behind")
+        return "adfs:gate-target:v-behind"
     if ctx.t_category == "cycle":
         if v in ctx.prof.cycle_nodes:
-            return PairwiseCaseResult(Fraction(1, 2), "adfs:cycle-pair")
+            return "adfs:cycle-pair"
         _no_row("adfs", "target on the cycle, v off it")
     if v in ctx.prof.cycle_nodes:
-        return PairwiseCaseResult(Fraction(3, 4), "adfs:behind-target:v-cycle")
+        return "adfs:behind-target:v-cycle"
     if v in ctx.prof.double_path:
-        return PairwiseCaseResult(Fraction(1, 2), "adfs:behind-target:v-behind")
+        return "adfs:behind-target:v-behind"
     _no_row("adfs", "target behind the cycle, single-path v")
 
 
@@ -277,37 +274,37 @@ def _require_cycle_in_reach(ctx: _PairContext, strategy: str) -> None:
         )
 
 
-def _dfs_d_value(ctx: _PairContext) -> PairwiseCaseResult:
+def _dfs_d_value(ctx: _PairContext) -> str:
     v, d = ctx.v, ctx.d
     assert d is not None
     if ctx.prof.distance(v) > d:
         # everything within reach is visited before anything beyond it,
         # regardless of how much of the cycle the bound covers
-        return PairwiseCaseResult(Fraction(0), "dfs_d:far-v")
+        return "dfs_d:far-v"
     _require_cycle_in_reach(ctx, "dfs_d")
     if ctx.t_category == "free":
-        return PairwiseCaseResult(Fraction(1, 2), "dfs_d:free-target")
+        return "dfs_d:free-target"
     if ctx.t_category == "gate":
         if ctx.two_short(v):
-            return PairwiseCaseResult(Fraction(2, 3), "dfs_d:gate-target:v-two-short")
+            return "dfs_d:gate-target:v-two-short"
         if v in ctx.prof.single_path:
-            return PairwiseCaseResult(Fraction(1, 2), "dfs_d:gate-target:v-single-short")
+            return "dfs_d:gate-target:v-single-short"
         if ctx.cycle_fully_short():
-            return PairwiseCaseResult(Fraction(2, 3), "dfs_d:gate-target:v-one-short-cycle-reachable")
-        return PairwiseCaseResult(Fraction(1, 2), "dfs_d:gate-target:v-one-short-cycle-partial")
+            return "dfs_d:gate-target:v-one-short-cycle-reachable"
+        return "dfs_d:gate-target:v-one-short-cycle-partial"
     if ctx.t_category == "cycle":
         if v in ctx.prof.cycle_nodes:
             if ctx.aligned_cycle_pair():
                 _no_row("dfs_d", "aligned one-short cycle pair (forced order)")
-            return PairwiseCaseResult(Fraction(1, 2), "dfs_d:cycle-pair")
+            return "dfs_d:cycle-pair"
         _no_row("dfs_d", "target on the cycle, v off it")
     # target strictly behind the cycle
     if v in ctx.prof.cycle_nodes:
         if ctx.unique_short_path_contains(ctx.t, v):
-            return PairwiseCaseResult(Fraction(1), "dfs_d:behind-target:v-on-short-path")
+            return "dfs_d:behind-target:v-on-short-path"
         if ctx.two_short(v):
-            return PairwiseCaseResult(Fraction(3, 4), "dfs_d:behind-target:v-two-short")
-        return PairwiseCaseResult(Fraction(1, 2), "dfs_d:behind-target:v-one-short")
+            return "dfs_d:behind-target:v-two-short"
+        return "dfs_d:behind-target:v-one-short"
     if v not in ctx.prof.double_path:
         _no_row("dfs_d", "target behind the cycle, single-path v")
     t_short, v_short = ctx.two_short(ctx.t), ctx.two_short(v)
@@ -316,70 +313,70 @@ def _dfs_d_value(ctx: _PairContext) -> PairwiseCaseResult:
     if ctx.cycle_fully_short():
         if not t_short and v_short:
             if ctx.unique_short_path_contains(ctx.t, ctx.prof.anchor[v]):
-                return PairwiseCaseResult(Fraction(5, 8), "dfs_d:both-behind:reachable:exit-on-path")
-            return PairwiseCaseResult(Fraction(1, 2), "dfs_d:both-behind:reachable:exit-off-path")
+                return "dfs_d:both-behind:reachable:exit-on-path"
+            return "dfs_d:both-behind:reachable:exit-off-path"
         if t_short and v_short:
-            return PairwiseCaseResult(Fraction(1, 2), "dfs_d:both-behind:reachable:both-short")
-        return PairwiseCaseResult(Fraction(1, 2), "dfs_d:both-behind:reachable:both-one-short")
+            return "dfs_d:both-behind:reachable:both-short"
+        return "dfs_d:both-behind:reachable:both-one-short"
     if not t_short and v_short:
-        return PairwiseCaseResult(Fraction(3, 4), "dfs_d:both-behind:partial:target-one-v-two")
+        return "dfs_d:both-behind:partial:target-one-v-two"
     if t_short and v_short:
-        return PairwiseCaseResult(Fraction(1, 2), "dfs_d:both-behind:partial:both-short")
-    return PairwiseCaseResult(Fraction(1, 2), "dfs_d:both-behind:partial:both-one-short")
+        return "dfs_d:both-behind:partial:both-short"
+    return "dfs_d:both-behind:partial:both-one-short"
 
 
-def _sigma_value(ctx: _PairContext) -> PairwiseCaseResult:
+def _sigma_value(ctx: _PairContext) -> str:
     v, d = ctx.v, ctx.d
     assert d is not None
     far_v = ctx.prof.distance(v) > d
 
-    def gated(value: Fraction, label: str) -> PairwiseCaseResult:
+    def gated(label: str) -> str:
         _require_cycle_in_reach(ctx, "sigma_star")
-        return PairwiseCaseResult(value, label)
+        return label
 
     if ctx.t_category == "free":
         if far_v:
-            return PairwiseCaseResult(Fraction(3, 8), "sigma_star:free-target:far")
-        return gated(Fraction(1, 2), "sigma_star:free-target:near")
+            return "sigma_star:free-target:far"
+        return gated("sigma_star:free-target:near")
     if ctx.t_category == "gate":
         if far_v:
             if v in ctx.prof.single_path:
-                return PairwiseCaseResult(Fraction(3, 8), "sigma_star:gate-target:v-single-far")
+                return "sigma_star:gate-target:v-single-far"
             if v in ctx.prof.cycle_nodes:
-                return PairwiseCaseResult(Fraction(1, 2), "sigma_star:gate-target:v-cycle-far")
+                return "sigma_star:gate-target:v-cycle-far"
             if ctx.exit_at_entrance_successor(v):
                 _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
-            return PairwiseCaseResult(Fraction(3, 8), "sigma_star:gate-target:v-behind-far")
+            return "sigma_star:gate-target:v-behind-far"
         if ctx.one_short(v):
             if v in ctx.prof.single_path:
-                return gated(Fraction(1, 2), "sigma_star:gate-target:v-single-short")
+                return gated("sigma_star:gate-target:v-single-short")
             if v in ctx.prof.cycle_nodes:
-                return gated(Fraction(5, 8), "sigma_star:gate-target:v-one-short-cycle")
+                return gated("sigma_star:gate-target:v-one-short-cycle")
             if ctx.exit_at_entrance_successor(v):
                 _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
             if ctx.cycle_fully_short():
-                return gated(Fraction(13, 24), "sigma_star:gate-target:v-one-short-cycle-reachable")
-            return gated(Fraction(1, 2), "sigma_star:gate-target:v-one-short-cycle-partial")
+                return gated("sigma_star:gate-target:v-one-short-cycle-reachable")
+            return gated("sigma_star:gate-target:v-one-short-cycle-partial")
         if v in ctx.prof.cycle_nodes:
-            return gated(Fraction(2, 3), "sigma_star:gate-target:v-two-short-cycle")
+            return gated("sigma_star:gate-target:v-two-short-cycle")
         if ctx.exit_at_entrance_successor(v):
             _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
-        return gated(Fraction(13, 24), "sigma_star:gate-target:v-two-short-behind")
+        return gated("sigma_star:gate-target:v-two-short-behind")
     if ctx.t_category == "cycle":
         if v in ctx.prof.cycle_nodes:
             if ctx.aligned_cycle_pair():
                 _no_row("sigma_star", "aligned one-short cycle pair (forced order)")
-            return gated(Fraction(1, 2), "sigma_star:cycle-pair")
+            return gated("sigma_star:cycle-pair")
         _no_row("sigma_star", "target on the cycle, v off it")
     # target strictly behind the cycle
     if v in ctx.prof.cycle_nodes:
         if not far_v and ctx.unique_short_path_contains(ctx.t, v):
-            return gated(Fraction(13, 16), "sigma_star:behind-target:v-on-short-path")
+            return gated("sigma_star:behind-target:v-on-short-path")
         if ctx.two_short(v):
-            return gated(Fraction(3, 4), "sigma_star:behind-target:v-two-short")
+            return gated("sigma_star:behind-target:v-two-short")
         if ctx.one_short(v):
-            return gated(Fraction(11, 16), "sigma_star:behind-target:v-one-short")
-        return PairwiseCaseResult(Fraction(9, 16), "sigma_star:behind-target:v-far")
+            return gated("sigma_star:behind-target:v-one-short")
+        return "sigma_star:behind-target:v-far"
     if v not in ctx.prof.double_path:
         _no_row("sigma_star", "target behind the cycle, single-path v")
     if far_v:
@@ -390,16 +387,16 @@ def _sigma_value(ctx: _PairContext) -> PairwiseCaseResult:
     if ctx.cycle_fully_short():
         if not t_short and v_short:
             if ctx.unique_short_path_contains(ctx.t, ctx.prof.anchor[v]):
-                return gated(Fraction(17, 32), "sigma_star:both-behind:reachable:exit-on-path")
-            return gated(Fraction(1, 2), "sigma_star:both-behind:reachable:exit-off-path")
+                return gated("sigma_star:both-behind:reachable:exit-on-path")
+            return gated("sigma_star:both-behind:reachable:exit-off-path")
         if t_short and v_short:
-            return gated(Fraction(1, 2), "sigma_star:both-behind:reachable:both-short")
-        return gated(Fraction(1, 2), "sigma_star:both-behind:reachable:both-one-short")
+            return gated("sigma_star:both-behind:reachable:both-short")
+        return gated("sigma_star:both-behind:reachable:both-one-short")
     if not t_short and v_short:
-        return gated(Fraction(9, 16), "sigma_star:both-behind:partial:target-one-v-two")
+        return gated("sigma_star:both-behind:partial:target-one-v-two")
     if t_short and v_short:
-        return gated(Fraction(1, 2), "sigma_star:both-behind:partial:both-short")
-    return gated(Fraction(1, 2), "sigma_star:both-behind:partial:both-one-short")
+        return gated("sigma_star:both-behind:partial:both-short")
+    return gated("sigma_star:both-behind:partial:both-one-short")
 
 
 _VALUE_FUNCS = {
@@ -425,10 +422,8 @@ def pairwise_probability(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    ctx = _build_context(strategy, g, s, t, v, d)
-    result = _VALUE_FUNCS[strategy](ctx)
-    assert result.probability in TABLE_PROBABILITIES
-    return result
+    label = _VALUE_FUNCS[strategy](_build_context(strategy, g, s, t, v, d))
+    return PairwiseCaseResult(ROWS[label], label)
 
 
 def expected_position_from_tables(

@@ -102,13 +102,37 @@ def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str
 
 MC_HEADER = "instance,strategy,trials,seed,mean,stderr,ci_lo,ci_hi,exact"
 VALUE_HEADER = "instance,strategy,target,mode,value"
+MODES = ("exact", "mc", "closed")
+# the type of each batch spec field; "d" and "target" may also be null
+SPEC_FIELDS = {"graph": str, "strategy": str, "instance": str, "mode": str, "target": int,
+               "d": int, "trials": int, "seed": int, "pointwise": bool}
+
+
+def _spec_problem(specs) -> str | None:
+    """Why ``specs`` is not a list of eval specs, or ``None`` when it is one."""
+    if type(specs) is not list:
+        return "the spec must be a JSON list of objects"
+    for i, item in enumerate(specs):
+        if type(item) is not dict:
+            return f"item {i} is not a JSON object"
+        for key in ("graph", "strategy"):
+            if key not in item:
+                return f"item {i} has no {key!r}"
+        for key, value in item.items():
+            want = SPEC_FIELDS.get(key)
+            if want and type(value) is not want and not (value is None and key in ("d", "target")):
+                return f"item {i}: {key!r} is not of type {want.__name__}"
+        if item.get("mode", "exact") not in MODES:
+            return f"item {i}: mode must be one of {', '.join(MODES)}"
+    return None
 
 
 @main.command("eval")
-@click.option("--graph", "graph_path", type=click.Path(exists=True, path_type=Path), required=True)
+@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+              required=True)
 @click.option("--strategy", type=click.Choice(["dfs", "dfs_d", "adfs", "sigma_star"]), required=True)
 @click.option("--target", type=int, default=None, help="Hiding node (defaults to the file's target).")
-@click.option("--mode", type=click.Choice(["exact", "mc", "closed"]), default="exact")
+@click.option("--mode", type=click.Choice(MODES), default="exact")
 @click.option("--d", type=int, default=None, help="Distance bound for dfs_d / sigma_star.")
 @click.option("--trials", type=int, default=10000)
 @click.option("--seed", type=int, default=0)
@@ -140,13 +164,17 @@ def eval_cmd(graph_path, strategy, target, mode, d, trials, seed, pointwise, out
 
 
 @main.command()
-@click.option("--spec", "spec_path", type=click.Path(exists=True, path_type=Path), required=True,
+@click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
+              required=True,
               help="JSON array of eval specs (graph/strategy/target/mode/d/trials/seed).")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def batch(spec_path, out):
     """Run a batch of evaluations from a config file; rows are sorted for stable output."""
     try:
         specs = json.loads(spec_path.read_text())
+        problem = _spec_problem(specs)
+        if problem:
+            _fail_input(f"bad batch spec: {problem}")
         value_rows: list[str] = []
         mc_rows: list[str] = []
         for item in specs:
@@ -169,7 +197,7 @@ def batch(spec_path, out):
             (mc_rows if mode == "mc" else value_rows).append(row)
     except HideSeekError as exc:
         _fail_input(f"{type(exc).__name__}: {exc}")
-    except (KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail_input(f"bad batch spec: {exc}")
     sections = []
     if value_rows:
@@ -215,6 +243,8 @@ def verify(suite, max_n, corpus, sizes, benefits, trials, seed):
         report = runner(**kwargs)
     except (HideSeekError, ValueError) as exc:
         _fail_input(str(exc))
+    if not report.checks:
+        _fail_input(f"suite {suite} ran no checks with these options")
     for line in report.lines():
         click.echo(line)
     _write_manifest(None, f"verify {suite}", {

@@ -21,6 +21,10 @@ class DisconnectedGraph(HideSeekError):
     pass
 
 
+class BadGraphFile(HideSeekError):
+    """A graph document that is not an object with integer ``n``, edges, source and target."""
+
+
 class MultipleCycles(HideSeekError):
     """Raised by queries that are only defined on graphs with at most one cycle."""
 

@@ -7,9 +7,13 @@ the closed induced subgraph over a visit sequence.
 
 All query functions are pure and accept either type.  ``path_profiles`` (and
 its memoized ``cached_profiles``) answers every simple-path question the
-engines ask; ``must_pass``, ``simple_path_counts`` and ``closed_subgraph`` are
-brute, definitional references that the tests and benchmarks check it
-against.
+engines ask from one breadth-first search from the source: on a graph with at
+most one cycle each node has one or two simple paths, and both follow from
+the BFS distances, the cycle's entrance and the node's anchor on the cycle.
+``must_pass``, ``simple_path_counts`` and ``closed_subgraph`` are brute,
+definitional references that the tests and benchmarks check it against.
+``graph_from_json`` checks a document's shape and raises
+:class:`BadGraphFile` on anything else.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import (
+    BadGraphFile,
     DisconnectedGraph,
     DuplicateEdge,
     MultipleCycles,
@@ -122,6 +127,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], source: int = 0) -> Gra
         if e in seen:
             raise DuplicateEdge(f"edge {e} repeated")
         seen.add(e)
+    if len(seen) < n - 1:
+        raise DisconnectedGraph(f"{len(seen)} edges cannot connect {n} nodes")
     g = Graph(n=n, edges=frozenset(seen), source=source)
     dists = bfs_distances(g, source)
     if len(dists) != n:
@@ -238,17 +245,17 @@ class BoundedClassSets:
 class PathProfile:
     """Simple-path structure from a fixed source in a <=1-cycle graph.
 
-    ``lengths[v]`` holds the sorted lengths of all simple source->v paths
-    (one entry off the cycle's influence, two entries otherwise).  The
-    decomposition fields expose where each node hangs relative to the cycle,
-    and ``parent`` is a shortest-path tree that the path queries walk.
+    Built from one breadth-first search from the source: ``parent`` is its
+    shortest-path tree, in visiting order.  ``lengths[v]`` holds the sorted
+    lengths of all simple source->v paths: one entry for nodes the cycle does
+    not split, two for the nodes whose paths leave the cycle at an ``anchor``
+    other than the ``entrance``, where the two arcs round the cycle differ.
     """
 
     source: int
     cycle: Cycle | None
     lengths: dict[int, tuple[int, ...]]
-    anchor: dict[int, int]          # nearest cycle node for nodes outside the source tree
-    source_tree: frozenset[int]     # nodes whose unique path stays inside the source's forest tree
+    anchor: dict[int, int]          # last cycle node on both paths of each two-path node
     entrance: int | None            # cycle node closest to the source
     parent: dict[int, int]          # BFS predecessor of every other node, in BFS order
 
@@ -278,33 +285,15 @@ class PathProfile:
     def bounded_sets(self, bound: int) -> BoundedClassSets:
         cache = self.__dict__.setdefault("_bounded_cache", {})
         hit = cache.get(bound)
-        if hit is not None:
-            return hit
-        within: set[int] = set()
-        one_short: set[int] = set()
-        two_short: set[int] = set()
-        two_near: set[int] = set()
-        near = bound + 1
-        for v, ls in self.lengths.items():
-            fit = 0
-            fit_near = 0
-            for length in ls:
-                if length <= bound:
-                    fit += 1
-                if length <= near:
-                    fit_near += 1
-            if fit:
-                within.add(v)
-                (one_short if fit == 1 else two_short).add(v)
-            if fit_near == 2:
-                two_near.add(v)
-        hit = BoundedClassSets(
-            within=frozenset(within),
-            one_short=frozenset(one_short),
-            two_short=frozenset(two_short),
-            two_near=frozenset(two_near),
-        )
-        cache[bound] = hit
+        if hit is None:
+            within = frozenset(v for v, ls in self.lengths.items() if ls[0] <= bound)
+            two_short = frozenset(v for v in self.double_path if self.lengths[v][1] <= bound)
+            hit = cache[bound] = BoundedClassSets(
+                within=within,
+                one_short=within - two_short,
+                two_short=two_short,
+                two_near=frozenset(v for v in self.double_path if self.lengths[v][1] <= bound + 1),
+            )
         return hit
 
     @cached_property
@@ -318,103 +307,50 @@ class PathProfile:
 
     @cached_property
     def double_path(self) -> frozenset[int]:
-        return frozenset(v for v, ls in self.lengths.items() if len(ls) == 2)
+        return frozenset(self.anchor)
 
     @cached_property
     def through_entrance(self) -> frozenset[int]:
         """Single-path nodes whose unique path passes the cycle entrance."""
-        c = self.entrance
-        if c is None:
+        if self.entrance is None:
             return frozenset()
-        gate = {c}
+        gate = {self.entrance}
         for v, u in self.parent.items():  # BFS order: a parent comes before its children
-            if u in gate and v in self.source_tree:
+            if u in gate and v not in self.anchor:
                 gate.add(v)
         return frozenset(gate)
 
 
-def _bfs_parents(g, s: int) -> dict[int, int]:
-    """Each node's predecessor in a breadth-first search from ``s``, in visiting order."""
+def path_profiles(g, s: int) -> PathProfile:
+    """All simple-path lengths from ``s`` (at most two per node), from one BFS."""
+    cyc = find_cycle(g)
+    dist = {s: 0}
     parent: dict[int, int] = {}
     queue = deque([s])
     adj = g.adj
     while queue:
         u = queue.popleft()
         for w in adj[u]:
-            if w != s and w not in parent:
+            if w not in dist:
+                dist[w] = dist[u] + 1
                 parent[w] = u
                 queue.append(w)
-    return parent
-
-
-def path_profiles(g, s: int) -> PathProfile:
-    """Compute all simple-path lengths from ``s`` (at most two per node)."""
-    cyc = find_cycle(g)
-    if cyc is None:
-        dist = bfs_distances(g, s)
-        return PathProfile(
-            source=s,
-            cycle=None,
-            lengths={v: (d,) for v, d in dist.items()},
-            anchor={},
-            source_tree=frozenset(dist),
-            entrance=None,
-            parent=_bfs_parents(g, s),
-        )
-    cyc_set = cyc.node_set
-    cycle_edges = set()
-    order = cyc.order
-    for i, u in enumerate(order):
-        cycle_edges.add(norm_edge(u, order[(i + 1) % len(order)]))
-    forest_adj: dict[int, list[int]] = {v: [] for v in g.node_set}
-    for u, v in g.edges:
-        if norm_edge(u, v) in cycle_edges:
-            continue
-        forest_adj[u].append(v)
-        forest_adj[v].append(u)
-
-    def forest_bfs(root: int) -> dict[int, int]:
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in forest_adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    src_dist = forest_bfs(s)
-    source_tree = frozenset(src_dist)
-    entrance_nodes = cyc_set & source_tree
-    if len(entrance_nodes) != 1:
-        raise MultipleCycles("source tree must meet the cycle exactly once")
-    c = next(iter(entrance_nodes))
-    ds = src_dist[c]
-    idx = {v: i for i, v in enumerate(order)}
-    length = len(order)
-    lengths: dict[int, tuple[int, ...]] = {}
+    on_cycle = frozenset() if cyc is None else cyc.node_set
+    entrance = min(on_cycle, key=dist.__getitem__, default=None)
+    # every cycle node but the entrance has two paths, and hands them on to
+    # the nodes hanging behind it
     anchor: dict[int, int] = {}
-    for v in source_tree:
-        lengths[v] = (src_dist[v],)
-    for a in cyc_set:
-        if a == c:
-            continue
-        j = (idx[a] - idx[c]) % length
-        arc_a, arc_b = j, length - j
-        for v, dv in forest_bfs(a).items():
-            if v in source_tree:
-                continue
-            anchor[v] = a
-            lengths[v] = tuple(sorted((ds + arc_a + dv, ds + arc_b + dv)))
+    for v, u in parent.items():
+        if v in on_cycle and v != entrance:
+            anchor[v] = v
+        elif u in anchor:
+            anchor[v] = anchor[u]
+    lengths = {v: (d,) for v, d in dist.items()}
+    for v, a in anchor.items():
+        # the far arc round the cycle is longer by the cycle length less twice the near arc
+        lengths[v] = (dist[v], dist[v] + len(cyc) - 2 * (dist[a] - dist[entrance]))
     return PathProfile(
-        source=s,
-        cycle=cyc,
-        lengths=lengths,
-        anchor=anchor,
-        source_tree=source_tree,
-        entrance=c,
-        parent=_bfs_parents(g, s),
+        source=s, cycle=cyc, lengths=lengths, anchor=anchor, entrance=entrance, parent=parent,
     )
 
 
@@ -475,6 +411,22 @@ def graph_to_json(g: Graph, target: int | None = None) -> str:
 
 
 def graph_from_json(text: str) -> tuple[Graph, int | None]:
-    doc = json.loads(text)
-    g = from_edges(doc["n"], [tuple(e) for e in doc["edges"]], source=doc.get("source", 0))
+    """Parse a :func:`graph_to_json` document; :class:`BadGraphFile` if it has another shape."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadGraphFile(f"not JSON: {exc}") from None
+    if type(doc) is not dict:
+        raise BadGraphFile("the document is not a JSON object")
+    if type(doc.get("n")) is not int:
+        raise BadGraphFile('"n" must be an integer')
+    for key in ("source", "target"):
+        if key in doc and type(doc[key]) is not int:
+            raise BadGraphFile(f'"{key}" must be an integer where present')
+    edges = doc.get("edges")
+    if type(edges) is not list or not all(
+        type(e) is list and len(e) == 2 and all(type(x) is int for x in e) for e in edges
+    ):
+        raise BadGraphFile('"edges" must be a list of integer pairs')
+    g = from_edges(doc["n"], [tuple(e) for e in edges], source=doc.get("source", 0))
     return g, doc.get("target")

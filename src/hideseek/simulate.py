@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from .errors import BadWorkerCount
 from .graphs import Graph
 from .hider import HiderStrategy
-from .seeker import (SeekerPolicy, cumulative_thresholds, execute, pick_by_thresholds,
-                     sample_position)
+from .seeker import SeekerPolicy, cumulative_thresholds, pick_by_thresholds, sample_position
 
 WORKERS_ENV = "HIDESEEK_WORKERS"
 
@@ -28,8 +27,7 @@ def trial_rng(seed: int, index: int) -> random.Random:
 
 def run_episode(policy: SeekerPolicy, g: Graph, h: int, seed: int, index: int) -> int:
     """Position of ``h`` in one sampled episode; a pure function of (seed, index)."""
-    episode = execute(policy, g, trial_rng(seed, index))
-    return episode.pos(h)
+    return sample_position(policy, g, h, trial_rng(seed, index))
 
 
 def _worker_count(workers: int | None) -> int:

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hideseek.cli import main
+from hideseek.cli import MODES, SPEC_FIELDS, main
 
 
 def invoke(runner, *args):
@@ -174,6 +176,120 @@ class TestVerify:
             result = invoke(runner, "verify", "equivalence", "--max-n", "4")
             assert result.exit_code == 0
             assert "[equivalence] suite: PASS" in result.output
+
+    @pytest.mark.parametrize("suite,max_n", [("lemma1", "2"), ("lemma2", "1"), ("equivalence", "1")])
+    def test_suite_without_checks_is_bad_input(self, suite, max_n):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = invoke(runner, "verify", suite, "--max-n", max_n)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: suite {suite} ran no checks with these options\n"
+
+
+VALID_DOC = {"n": 3, "edges": [[0, 1], [1, 2]], "source": 0, "target": 2}
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats(-4, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_edge(e) -> bool:
+    return type(e) is list and len(e) == 2 and all(type(x) is int for x in e)
+
+
+@st.composite
+def malformed_graph_docs(draw):
+    """A graph document with one defect: its top level, a missing key or one bad value."""
+    kind = draw(st.sampled_from(["top", "drop", "n", "edges", "source", "target"]))
+    if kind == "top":
+        return draw(json_values.filter(lambda x: type(x) is not dict))
+    doc = dict(VALID_DOC)
+    if kind == "drop":
+        del doc[draw(st.sampled_from(["n", "edges"]))]
+    elif kind == "edges":
+        doc["edges"] = draw(json_values.filter(
+            lambda x: type(x) is not list or not all(_is_edge(e) for e in x)))
+    else:
+        # any value but a valid one: wrong types, and integers out of range
+        valid = {3} if kind == "n" else {0, 1, 2}
+        doc[kind] = draw(json_values.filter(lambda x: type(x) is not int or x not in valid))
+    return doc
+
+
+@st.composite
+def malformed_specs(draw, graph: str):
+    """A batch spec with one defect; ``graph`` names a well-formed graph file."""
+    item = {"graph": graph, "strategy": "dfs", "target": 2, "mode": "exact"}
+    kind = draw(st.sampled_from(["top", "item", "drop", "mode", "field"]))
+    if kind == "top":
+        return draw(json_values.filter(lambda x: type(x) is not list))
+    if kind == "item":
+        return [item, draw(json_values.filter(lambda x: type(x) is not dict))]
+    if kind == "drop":
+        del item[draw(st.sampled_from(["graph", "strategy"]))]
+    elif kind == "mode":
+        item["mode"] = draw(st.text(max_size=6).filter(lambda m: m not in MODES))
+    else:
+        key = draw(st.sampled_from(sorted(SPEC_FIELDS)))
+        item[key] = draw(json_values.filter(lambda x: x is not None and type(x) is not SPEC_FIELDS[key]))
+    return [item]
+
+
+def _assert_bad_input(result):
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.output
+
+
+class TestMalformedInput:
+    """Generated malformed graph files and batch specs fail at the boundary with exit 2."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("inputs")
+        (path / "good.json").write_text(json.dumps(VALID_DOC))
+        return path
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=malformed_graph_docs())
+    def test_graph_documents(self, workdir, doc):
+        graph = workdir / "bad.json"
+        graph.write_text(json.dumps(doc))
+        spec = workdir / "spec.json"
+        spec.write_text(json.dumps([{"graph": str(graph), "strategy": "dfs"}]))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            _assert_bad_input(invoke(runner, "eval", "--graph", str(graph), "--strategy", "dfs"))
+            _assert_bad_input(invoke(runner, "batch", "--spec", str(spec)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_batch_specs(self, workdir, data):
+        spec = workdir / "spec.json"
+        spec.write_text(json.dumps(data.draw(malformed_specs(str(workdir / "good.json")))))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            _assert_bad_input(invoke(runner, "batch", "--spec", str(spec)))
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"edges": [[0, 1]]}, '"n" must be an integer'),
+        ({"n": "3", "edges": [[0, 1], [1, 2]]}, '"n" must be an integer'),
+        ([0, 1], "the document is not a JSON object"),
+        ({"n": 3, "edges": [[0, 1], [1, 2]], "target": "2"}, '"target" must be an integer'),
+    ])
+    def test_graph_file_message(self, workdir, doc, message):
+        graph = workdir / "bad.json"
+        graph.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["eval", "--graph", str(graph), "--strategy", "dfs"])
+        _assert_bad_input(result)
+        assert f"BadGraphFile: {message}" in result.stderr
+
+    def test_spec_object_rejected(self, workdir):
+        spec = workdir / "spec.json"
+        spec.write_text(json.dumps({"graph": str(workdir / "good.json"), "strategy": "dfs"}))
+        result = CliRunner().invoke(main, ["batch", "--spec", str(spec)])
+        _assert_bad_input(result)
+        assert "the spec must be a JSON list of objects" in result.stderr
 
 
 GOLDEN = Path(__file__).parent / "golden"

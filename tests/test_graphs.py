@@ -85,6 +85,11 @@ class TestFromEdges:
         with pytest.raises(DisconnectedGraph):
             from_edges(4, [(0, 1), (2, 3)])
 
+    def test_too_few_edges_rejected_before_search(self):
+        # a node count far beyond the edges fails on the count, listing no nodes
+        with pytest.raises(DisconnectedGraph, match="1 edges cannot connect 100000 nodes"):
+            from_edges(100_000, [(0, 1)])
+
     def test_triangle_accepted(self):
         g = from_edges(3, [(0, 1), (1, 2), (2, 0)])
         assert find_cycle(g) is not None
@@ -176,6 +181,42 @@ class TestProfilePathQueries:
                 for t in unique:
                     # t's one path within d passes x exactly when x is on its shortest path
                     assert (x in prof.shortest_path(t)) == (through[t] == 1), (d, x, t)
+
+
+class TestProfileAgainstBrutePaths:
+    """Every ``PathProfile`` field against the simple paths enumerated from the source."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(at_most_one_cycle(max_n=9), st.data())
+    def test_fields_match_brute_paths(self, g, data):
+        s = data.draw(st.integers(0, g.n - 1))
+        prof = path_profiles(g, s)
+        paths: dict[int, list[tuple[int, ...]]] = {}
+        for p in brute_simple_paths(g, s):
+            paths.setdefault(p[-1], []).append(p)
+        cyc = prof.cycle_nodes
+        if cyc:
+            dist = bfs_distances(g, s)
+            nearest = min(dist[c] for c in cyc)
+            assert [c for c in cyc if dist[c] == nearest] == [prof.entrance]
+        else:
+            assert prof.entrance is None
+        for v, ps in paths.items():
+            assert prof.distance(v) == len(prof.shortest_path(v)) - 1 == min(len(p) for p in ps) - 1
+            if len(ps) == 2:
+                assert {[x for x in p if x in cyc][-1] for p in ps} == {prof.anchor[v]}
+            else:
+                assert v not in prof.anchor
+        single = {v for v, ps in paths.items() if len(ps) == 1}
+        assert prof.through_entrance == {v for v in single if prof.entrance in paths[v][0]}
+        for d in range(g.n + 1):
+            sets = prof.bounded_sets(d)
+            fit = {v: sum(len(p) - 1 <= d for p in ps) for v, ps in paths.items()}
+            fit_near = {v: sum(len(p) - 2 <= d for p in ps) for v, ps in paths.items()}
+            assert sets.within == {v for v, k in fit.items() if k >= 1}
+            assert sets.one_short == {v for v, k in fit.items() if k == 1}
+            assert sets.two_short == {v for v, k in fit.items() if k == 2}
+            assert sets.two_near == {v for v, k in fit_near.items() if k == 2}
 
 
 class TestFindCycle:

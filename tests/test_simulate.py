@@ -17,11 +17,16 @@ from hideseek.seeker import (
     AdjustedDFSPolicy,
     BoundedDFSPolicy,
     DFSPolicy,
+    battery_policies,
     cumulative_thresholds,
+    execute,
     pick_by_thresholds,
+    sample_position,
     sigma_star,
 )
 from hideseek.simulate import WORKERS_ENV, monte_carlo, run_episode, trial_rng
+
+from graph_strategies import at_most_one_cycle
 
 
 def line(n):
@@ -43,6 +48,17 @@ class TestRunEpisode:
         a = run_episode(DFSPolicy(), g, t, seed=42, index=17)
         b = run_episode(DFSPolicy(), g, t, seed=42, index=17)
         assert a == b
+
+    @settings(max_examples=80, deadline=None)
+    @given(at_most_one_cycle(max_n=8), st.integers(1, 4), st.integers(0, 2**32))
+    def test_sample_position_matches_full_episode(self, g, d, seed):
+        tries: dict = {}  # one trie cache across every call, as each Monte Carlo chunk keeps
+        for policy in battery_policies(d) + [sigma_star(d, pointwise=True)]:
+            for index in range(2):
+                for h in range(g.n):
+                    full = execute(policy, g, trial_rng(seed, index)).pos(h)
+                    assert sample_position(policy, g, h, trial_rng(seed, index), tries) == full
+                    assert run_episode(policy, g, h, seed, index) == full
 
     def test_independent_streams(self):
         # different indices should not all coincide on a randomized instance
