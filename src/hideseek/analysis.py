@@ -1,8 +1,8 @@
 """Closed-form engine: expectation formulas and pairwise visit-order tables.
 
-The pairwise tables give, for each seeking strategy, the exact probability
-that a node ``v`` is visited before the hiding node ``t`` on a graph with at
-most one cycle.  Values depend only on coarse structural classes:
+The pairwise tables give, for ``dfs``, ``adfs`` and ``dfs_d``, the exact
+probability that a node ``v`` is visited before the hiding node ``t`` on a
+graph with at most one cycle.  Values depend only on coarse structural classes:
 
 * how many simple paths reach a node and how many of them fit the bound ``d``;
 * whether a node sits on the cycle, strictly behind it, or before it;
@@ -14,6 +14,14 @@ oracle in the verification suites.  Branches are evaluated strictly in
 listing order; combinations the tables do not cover raise
 :class:`PreconditionViolated` rather than extrapolating.
 
+``sigma_star`` has no table of its own.  It plays one component for the
+whole episode, so its probability for a pair is the mixture of the three
+component rows with the weights of :data:`hideseek.seeker.SIGMA_STAR_WEIGHTS`.
+A pair is admitted only when every component admits it; otherwise the first
+component's refusal is raised, ``dfs_d`` asked first.  Its case label is
+``sigma_star:`` followed by the ``dfs``, ``adfs`` and ``dfs_d`` labels joined
+with ``|`` (no comma, so CSV rows keep six fields).
+
 All arithmetic is exact (``fractions.Fraction``); floats never enter.
 """
 from __future__ import annotations
@@ -24,6 +32,7 @@ from fractions import Fraction
 from .errors import NotATree, PreconditionViolated
 from .graphs import Graph, PathProfile, bfs_distances, cached_profiles
 from .hider import BenefitFunction
+from .seeker import SIGMA_STAR_WEIGHTS
 
 STRATEGIES = ("dfs", "dfs_d", "adfs", "sigma_star")
 
@@ -64,35 +73,7 @@ ROWS: dict[str, Fraction] = {
     "dfs_d:both-behind:partial:both-short": Fraction(1, 2),
     "dfs_d:both-behind:partial:both-one-short": Fraction(1, 2),
 
-    "sigma_star:free-target:far": Fraction(3, 8),
-    "sigma_star:free-target:near": Fraction(1, 2),
-    "sigma_star:gate-target:v-single-far": Fraction(3, 8),
-    "sigma_star:gate-target:v-cycle-far": Fraction(1, 2),
-    "sigma_star:gate-target:v-behind-far": Fraction(3, 8),
-    "sigma_star:gate-target:v-single-short": Fraction(1, 2),
-    "sigma_star:gate-target:v-one-short-cycle": Fraction(5, 8),
-    "sigma_star:gate-target:v-one-short-cycle-reachable": Fraction(13, 24),
-    "sigma_star:gate-target:v-one-short-cycle-partial": Fraction(1, 2),
-    "sigma_star:gate-target:v-two-short-cycle": Fraction(2, 3),
-    "sigma_star:gate-target:v-two-short-behind": Fraction(13, 24),
-    "sigma_star:cycle-pair": Fraction(1, 2),
-    "sigma_star:behind-target:v-on-short-path": Fraction(13, 16),
-    "sigma_star:behind-target:v-two-short": Fraction(3, 4),
-    "sigma_star:behind-target:v-one-short": Fraction(11, 16),
-    "sigma_star:behind-target:v-far": Fraction(9, 16),
-    # the upfront mixture when the cycle lies fully within reach and the
-    # revealed node's exit sits on the target's short path: 1/2 + 1/32
-    "sigma_star:both-behind:reachable:exit-on-path": Fraction(17, 32),
-    "sigma_star:both-behind:reachable:exit-off-path": Fraction(1, 2),
-    "sigma_star:both-behind:reachable:both-short": Fraction(1, 2),
-    "sigma_star:both-behind:reachable:both-one-short": Fraction(1, 2),
-    "sigma_star:both-behind:partial:target-one-v-two": Fraction(9, 16),
-    "sigma_star:both-behind:partial:both-short": Fraction(1, 2),
-    "sigma_star:both-behind:partial:both-one-short": Fraction(1, 2),
 }
-
-# The closed universe of table probabilities.
-TABLE_PROBABILITIES = frozenset(ROWS.values())
 
 # Every case label each strategy's table can emit (used for coverage audits).
 ALL_CASE_LABELS: dict[str, frozenset[str]] = {
@@ -211,7 +192,7 @@ def _build_context(strategy: str, g: Graph, s: int, t: int, v: int, d: int | Non
         t_category = "gate" if t in prof.through_entrance else "free"
     else:
         t_category = "cycle" if t in prof.cycle_nodes else "behind"
-    if strategy in ("dfs_d", "sigma_star"):
+    if strategy == "dfs_d":
         if d is None:
             raise ValueError(f"{strategy} needs the bound d")
         if prof.distance(t) > d:
@@ -265,15 +246,6 @@ def _adfs_value(ctx: _PairContext) -> str:
     _no_row("adfs", "target behind the cycle, single-path v")
 
 
-def _require_cycle_in_reach(ctx: _PairContext, strategy: str) -> None:
-    # the bounded-DFS rows are only derived when some cycle node is reachable
-    # by two short paths; outside that domain the table refuses
-    if ctx.prof.cycle_nodes and not ctx.cycle_meets_short():
-        raise PreconditionViolated(
-            "cycle-outside-bound", f"{strategy}: no cycle node has two paths within d"
-        )
-
-
 def _dfs_d_value(ctx: _PairContext) -> str:
     v, d = ctx.v, ctx.d
     assert d is not None
@@ -281,7 +253,10 @@ def _dfs_d_value(ctx: _PairContext) -> str:
         # everything within reach is visited before anything beyond it,
         # regardless of how much of the cycle the bound covers
         return "dfs_d:far-v"
-    _require_cycle_in_reach(ctx, "dfs_d")
+    # the bounded-DFS rows are only derived when some cycle node is reachable
+    # by two short paths; outside that domain the table refuses
+    if ctx.prof.cycle_nodes and not ctx.cycle_meets_short():
+        raise PreconditionViolated("cycle-outside-bound", "dfs_d: no cycle node has two paths within d")
     if ctx.t_category == "free":
         return "dfs_d:free-target"
     if ctx.t_category == "gate":
@@ -325,86 +300,21 @@ def _dfs_d_value(ctx: _PairContext) -> str:
     return "dfs_d:both-behind:partial:both-one-short"
 
 
-def _sigma_value(ctx: _PairContext) -> str:
-    v, d = ctx.v, ctx.d
-    assert d is not None
-    far_v = ctx.prof.distance(v) > d
-
-    def gated(label: str) -> str:
-        _require_cycle_in_reach(ctx, "sigma_star")
-        return label
-
-    if ctx.t_category == "free":
-        if far_v:
-            return "sigma_star:free-target:far"
-        return gated("sigma_star:free-target:near")
-    if ctx.t_category == "gate":
-        if far_v:
-            if v in ctx.prof.single_path:
-                return "sigma_star:gate-target:v-single-far"
-            if v in ctx.prof.cycle_nodes:
-                return "sigma_star:gate-target:v-cycle-far"
-            if ctx.exit_at_entrance_successor(v):
-                _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
-            return "sigma_star:gate-target:v-behind-far"
-        if ctx.one_short(v):
-            if v in ctx.prof.single_path:
-                return gated("sigma_star:gate-target:v-single-short")
-            if v in ctx.prof.cycle_nodes:
-                return gated("sigma_star:gate-target:v-one-short-cycle")
-            if ctx.exit_at_entrance_successor(v):
-                _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
-            if ctx.cycle_fully_short():
-                return gated("sigma_star:gate-target:v-one-short-cycle-reachable")
-            return gated("sigma_star:gate-target:v-one-short-cycle-partial")
-        if v in ctx.prof.cycle_nodes:
-            return gated("sigma_star:gate-target:v-two-short-cycle")
-        if ctx.exit_at_entrance_successor(v):
-            _no_row("sigma_star", "v hangs off an entrance successor (degenerate exit)")
-        return gated("sigma_star:gate-target:v-two-short-behind")
-    if ctx.t_category == "cycle":
-        if v in ctx.prof.cycle_nodes:
-            if ctx.aligned_cycle_pair():
-                _no_row("sigma_star", "aligned one-short cycle pair (forced order)")
-            return gated("sigma_star:cycle-pair")
-        _no_row("sigma_star", "target on the cycle, v off it")
-    # target strictly behind the cycle
-    if v in ctx.prof.cycle_nodes:
-        if not far_v and ctx.unique_short_path_contains(ctx.t, v):
-            return gated("sigma_star:behind-target:v-on-short-path")
-        if ctx.two_short(v):
-            return gated("sigma_star:behind-target:v-two-short")
-        if ctx.one_short(v):
-            return gated("sigma_star:behind-target:v-one-short")
-        return "sigma_star:behind-target:v-far"
-    if v not in ctx.prof.double_path:
-        _no_row("sigma_star", "target behind the cycle, single-path v")
-    if far_v:
-        _no_row("sigma_star", "both behind the cycle with v beyond reach is unlisted")
-    t_short, v_short = ctx.two_short(ctx.t), ctx.two_short(v)
-    if t_short and not v_short:
-        _no_row("sigma_star", "two-short target against one-short v is underived")
-    if ctx.cycle_fully_short():
-        if not t_short and v_short:
-            if ctx.unique_short_path_contains(ctx.t, ctx.prof.anchor[v]):
-                return gated("sigma_star:both-behind:reachable:exit-on-path")
-            return gated("sigma_star:both-behind:reachable:exit-off-path")
-        if t_short and v_short:
-            return gated("sigma_star:both-behind:reachable:both-short")
-        return gated("sigma_star:both-behind:reachable:both-one-short")
-    if not t_short and v_short:
-        return gated("sigma_star:both-behind:partial:target-one-v-two")
-    if t_short and v_short:
-        return gated("sigma_star:both-behind:partial:both-short")
-    return gated("sigma_star:both-behind:partial:both-one-short")
-
-
 _VALUE_FUNCS = {
     "dfs": _dfs_value,
     "adfs": _adfs_value,
     "dfs_d": _dfs_d_value,
-    "sigma_star": _sigma_value,
 }
+
+
+def _mixture_value(ctx: _PairContext) -> PairwiseCaseResult:
+    """sigma_star draws one component per episode, so each of its pairwise
+    probabilities is the weighted sum of the components' rows."""
+    # dfs_d goes first: a target or cycle beyond the bound refuses as it does
+    bounded = _dfs_d_value(ctx)
+    labels = [bounded if kind == "dfs_d" else _VALUE_FUNCS[kind](ctx) for kind in SIGMA_STAR_WEIGHTS]
+    probability = sum(w * ROWS[label] for w, label in zip(SIGMA_STAR_WEIGHTS.values(), labels))
+    return PairwiseCaseResult(probability, "sigma_star:" + "|".join(labels))
 
 
 def pairwise_probability(
@@ -422,6 +332,10 @@ def pairwise_probability(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "sigma_star":
+        if d is None:
+            raise ValueError("sigma_star needs the bound d")
+        return _mixture_value(_build_context("dfs_d", g, s, t, v, d))
     label = _VALUE_FUNCS[strategy](_build_context(strategy, g, s, t, v, d))
     return PairwiseCaseResult(ROWS[label], label)
 

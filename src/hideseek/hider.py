@@ -5,7 +5,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadHeight, BadShape, TooLarge
 from .graphs import Graph, from_edges
@@ -178,12 +178,25 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def tree_sizes(ns: Iterable[int]) -> list[int]:
+    """The sizes ``ns``, once :func:`all_trees` accepts every one of them.
+
+    ``all_trees`` is lazy and checks its size only when first iterated; a
+    caller that enumerates several sizes passes them here first, so a bad
+    last size is refused before the first tree is built.
+    """
+    ns = list(ns)
+    for n in ns:
+        if n < 2:
+            raise TooLarge("tree enumeration needs n >= 2")
+        if n > TREE_ENUM_LIMIT:
+            raise TooLarge(f"tree enumeration capped at n = {TREE_ENUM_LIMIT}")
+    return ns
+
+
 def all_trees(n: int) -> Iterator[Graph]:
     """Every labeled tree on ``n`` nodes (Cayley: n^(n-2) of them), source 0."""
-    if n < 2:
-        raise TooLarge("tree enumeration needs n >= 2")
-    if n > TREE_ENUM_LIMIT:
-        raise TooLarge(f"tree enumeration capped at n = {TREE_ENUM_LIMIT}")
+    tree_sizes([n])
     if n == 2:
         yield from_edges(2, [(0, 1)])
         return

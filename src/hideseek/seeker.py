@@ -123,9 +123,17 @@ class SearchState:
     def copy(self) -> "SearchState":
         """An independent state at the same point, without replaying the visits."""
         twin = SearchState.__new__(SearchState)
-        for name in self.__slots__:
-            value = getattr(self, name)
-            setattr(twin, name, value.copy() if isinstance(value, (list, set)) else value)
+        twin.g = self.g
+        twin.visited = self.visited.copy()
+        twin.visited_set = self.visited_set.copy()
+        twin.frontier = self.frontier.copy()
+        twin.active_stack = self.active_stack.copy()
+        twin._open = self._open.copy()
+        twin._seen = self._seen.copy()
+        twin._depth = self._depth.copy()
+        twin._rank = self._rank.copy()
+        twin._inner = self._inner
+        twin._view_edges = self._view_edges
         return twin
 
     def unvisited_neighbors(self, z: int) -> tuple[int, ...]:
@@ -347,15 +355,19 @@ class MixturePolicy(SeekerPolicy):
         return keys
 
 
+# The weight of each component of sigma_star, by policy kind, in draw order.
+SIGMA_STAR_WEIGHTS: dict[str, Fraction] = {
+    "dfs": Fraction(3, 8),
+    "adfs": Fraction(3, 8),
+    "dfs_d": Fraction(1, 4),
+}
+
+
 def sigma_star(d: int, pointwise: bool = False) -> MixturePolicy:
     """The 3/8 dfs + 3/8 adfs + 1/4 dfs_d seeker mixture."""
     if d < 1:
         raise ValueError("mixture needs a positive bound")
-    components = (
-        (Fraction(3, 8), DFSPolicy()),
-        (Fraction(3, 8), AdjustedDFSPolicy()),
-        (Fraction(1, 4), BoundedDFSPolicy(d)),
-    )
+    components = [(w, policy_from_id(kind, d=d)) for kind, w in SIGMA_STAR_WEIGHTS.items()]
     return MixturePolicy(components, kind="sigma_star", pointwise=pointwise)
 
 

@@ -28,6 +28,7 @@ from .hider import (
     example2_graph,
     optimal_hiding_depths,
     palm_crown_mixed,
+    tree_sizes,
 )
 from .oracle import (
     adversarial_policy_battery,
@@ -84,7 +85,7 @@ def run_lemma1(max_n: int = 7) -> SuiteReport:
     """Exact expected DFS position on every labeled tree vs the closed form."""
     report = SuiteReport("lemma1")
     policy = DFSPolicy()
-    for n in range(3, max_n + 1):
+    for n in tree_sizes(range(3, max_n + 1)):
         trees = 0
         bad = None
         for g in all_trees(n):
@@ -235,14 +236,9 @@ def run_prop1() -> SuiteReport:
         bad = None
         pairs = 0
         for t, v, res in _corpus_pairs(instance, "sigma_star"):
-            combo = (
-                Fraction(3, 8) * tables["dfs"][v, t]
-                + Fraction(3, 8) * tables["adfs"][v, t]
-                + Fraction(1, 4) * tables["dfs_d"][v, t]
-            )
             pairs += 1
-            if combo != res.probability:
-                bad = f"(t={t}, v={v}): table {res.probability}, component mix {combo}"
+            if mixed[v, t] != res.probability:
+                bad = f"(t={t}, v={v}): table {res.probability}, component mix {mixed[v, t]}"
                 break
         report.add(
             f"{instance.name}/identity",
@@ -271,7 +267,7 @@ def run_equilibrium(
     """
     report = SuiteReport("equilibrium")
     policy = DFSPolicy()
-    for n in ns:
+    for n in tree_sizes(ns):
         if benefit_specs:
             benefits = [BenefitFunction.from_spec(spec, n) for spec in benefit_specs]
         else:
@@ -327,7 +323,7 @@ def run_equivalence(max_n: int = 7) -> SuiteReport:
     """On trees, bound-n DFS and adjusted DFS match plain DFS observation-wise."""
     report = SuiteReport("equivalence")
     dfs = DFSPolicy()
-    for n in range(2, max_n + 1):
+    for n in tree_sizes(range(2, max_n + 1)):
         bounded = BoundedDFSPolicy(n)
         adjusted = AdjustedDFSPolicy()
         observations = 0

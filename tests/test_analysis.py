@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from hideseek.analysis import (
     ALL_CASE_LABELS,
-    TABLE_PROBABILITIES,
+    ROWS,
     expected_position_from_tables,
     hider_payoff,
     mixture_capture_bound,
@@ -19,7 +19,13 @@ from hideseek.errors import MultipleCycles, NotATree, PreconditionViolated
 from hideseek.graphs import from_edges
 from hideseek.hider import BenefitFunction, example1_graph, example2_graph, palm_tree
 from hideseek.oracle import exact_expected_pos, exact_visit_prob, exact_visit_table
-from hideseek.seeker import AdjustedDFSPolicy, BoundedDFSPolicy, DFSPolicy, sigma_star
+from hideseek.seeker import (
+    SIGMA_STAR_WEIGHTS,
+    AdjustedDFSPolicy,
+    DFSPolicy,
+    policy_from_id,
+    sigma_star,
+)
 
 from graph_strategies import at_most_one_cycle
 
@@ -81,7 +87,7 @@ class TestPairwiseSpotValues:
         inst = corpus["twin_tails"]
         res = pairwise_probability("sigma_star", inst.graph, 0, 3, 5, inst.d)
         assert res.probability == Fraction(1, 2)
-        assert res.case_label == "sigma_star:cycle-pair"
+        assert res.case_label == "sigma_star:dfs:cycle-pair|adfs:cycle-pair|dfs_d:cycle-pair"
 
     def test_sigma_behind_on_path(self):
         corpus = {c.name: c for c in default_corpus()}
@@ -100,8 +106,14 @@ class TestPairwiseSpotValues:
                             res = pairwise_probability(strategy, inst.graph, 0, t, v, inst.d)
                         except PreconditionViolated:
                             continue
-                        assert res.probability in TABLE_PROBABILITIES
-                        assert res.case_label in ALL_CASE_LABELS[strategy]
+                        if strategy != "sigma_star":
+                            assert res.probability == ROWS[res.case_label]
+                            assert res.case_label in ALL_CASE_LABELS[strategy]
+                            continue
+                        parts = res.case_label.removeprefix("sigma_star:").split("|")
+                        assert [p.split(":", 1)[0] for p in parts] == list(SIGMA_STAR_WEIGHTS)
+                        assert res.probability == sum(
+                            w * ROWS[p] for w, p in zip(SIGMA_STAR_WEIGHTS.values(), parts))
 
 
 class TestPairwisePreconditions:
@@ -194,19 +206,59 @@ class TestTablesAgainstOracle:
     # are admitted with a value the oracle contradicts.
     DEFECT = from_edges(7, [(0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (3, 4), (4, 6)])
 
+    # sigma_star mixes the dfs_d row in, so it inherits both defects
+    # (1/2 against 17/32 and 13/16 against 3/4); mending dfs_d mends it too.
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="dfs_d both-behind:partial:both-one-short gives 1/2; oracle 5/8")
     @pytest.mark.parametrize("memoized", [False, True])
-    def test_dfs_d_both_one_short_partial(self, memoized):
-        res = pairwise_probability("dfs_d", self.DEFECT, 0, 2, 3, 3)
-        assert res.probability == exact_visit_prob(BoundedDFSPolicy(3), self.DEFECT, 3, 2, memoized=memoized)
+    @pytest.mark.parametrize("strategy", ["dfs_d", "sigma_star"])
+    def test_dfs_d_both_one_short_partial(self, strategy, memoized):
+        res = pairwise_probability(strategy, self.DEFECT, 0, 2, 3, 3)
+        policy = policy_from_id(strategy, d=3)
+        assert res.probability == exact_visit_prob(policy, self.DEFECT, 3, 2, memoized=memoized)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="dfs_d behind-target:v-on-short-path gives 1; oracle 3/4")
     @pytest.mark.parametrize("memoized", [False, True])
-    def test_dfs_d_cycle_node_on_short_path(self, memoized):
-        res = pairwise_probability("dfs_d", self.DEFECT, 0, 2, 5, 3)
-        assert res.probability == exact_visit_prob(BoundedDFSPolicy(3), self.DEFECT, 5, 2, memoized=memoized)
+    @pytest.mark.parametrize("strategy", ["dfs_d", "sigma_star"])
+    def test_dfs_d_cycle_node_on_short_path(self, strategy, memoized):
+        res = pairwise_probability(strategy, self.DEFECT, 0, 2, 5, 3)
+        policy = policy_from_id(strategy, d=3)
+        assert res.probability == exact_visit_prob(policy, self.DEFECT, 5, 2, memoized=memoized)
+
+
+class TestSigmaMixture:
+    """sigma_star answers are the weighted sum of its components' rows."""
+
+    def test_admits_pair_every_component_admits(self):
+        # the old hand-written rows refused this pair with cycle-outside-bound
+        inst = {c.name: c for c in default_corpus()}["far_ring"]
+        res = pairwise_probability("sigma_star", inst.graph, 0, 1, 4, inst.d)
+        assert res.probability == Fraction(3, 8)
+        assert res.probability == exact_visit_prob(sigma_star(inst.d), inst.graph, 4, 1, memoized=True)
+
+    def test_csv_rows_keep_six_fields(self):
+        rows = 0
+        for inst in default_corpus():
+            for row in pairwise_csv_rows(inst.name, "sigma_star", inst.graph, 0, inst.d):
+                fields = row.split(",")
+                assert len(fields) == 6, row
+                parts = fields[4].removeprefix("sigma_star:").split("|")
+                for kind, part in zip(SIGMA_STAR_WEIGHTS, parts, strict=True):
+                    assert part in ALL_CASE_LABELS[kind], row
+                rows += 1
+        assert rows
+
+    def test_beyond_bound_refused_as_dfs_d(self):
+        g, t = example1_graph(10, 3)
+        with pytest.raises(PreconditionViolated) as err:
+            pairwise_probability("sigma_star", g, 0, t, 5, 2)
+        assert err.value.clause == "target-beyond-bound"
+
+    def test_bound_missing(self):
+        g, t = example1_graph(10, 3)
+        with pytest.raises(ValueError, match="sigma_star needs the bound d"):
+            pairwise_probability("sigma_star", g, 0, t, 5)
 
 
 class TestExpectedPosition:

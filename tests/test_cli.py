@@ -6,7 +6,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hideseek import suites
 from hideseek.cli import MODES, SPEC_FIELDS, main
+from hideseek.hider import TREE_ENUM_LIMIT
 
 
 def invoke(runner, *args):
@@ -184,6 +186,22 @@ class TestVerify:
             result = invoke(runner, "verify", suite, "--max-n", max_n)
         assert result.exit_code == 2
         assert result.stderr == f"error: suite {suite} ran no checks with these options\n"
+
+    @pytest.mark.parametrize("args", [
+        ("lemma1", "--max-n", "10"),
+        ("equivalence", "--max-n", "10"),
+        ("equilibrium", "--n", "5", "--n", "12"),
+    ])
+    def test_oversized_trees_refused_before_enumeration(self, monkeypatch, args):
+        def sentinel(n):
+            pytest.fail(f"all_trees({n}) ran before every size was checked")
+
+        monkeypatch.setattr(suites, "all_trees", sentinel)
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = invoke(runner, "verify", *args)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: tree enumeration capped at n = {TREE_ENUM_LIMIT}\n"
 
 
 VALID_DOC = {"n": 3, "edges": [[0, 1], [1, 2]], "source": 0, "target": 2}
