@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import NotATree, PreconditionViolated
 from .graphs import Graph, PathProfile, bfs_distances, cached_profiles
@@ -307,12 +308,10 @@ _VALUE_FUNCS = {
 }
 
 
-def _mixture_value(ctx: _PairContext) -> PairwiseCaseResult:
-    """sigma_star draws one component per episode, so each of its pairwise
-    probabilities is the weighted sum of the components' rows."""
-    # dfs_d goes first: a target or cycle beyond the bound refuses as it does
-    bounded = _dfs_d_value(ctx)
-    labels = [bounded if kind == "dfs_d" else _VALUE_FUNCS[kind](ctx) for kind in SIGMA_STAR_WEIGHTS]
+@cache
+def _mixture_row(labels: tuple[str, ...]) -> PairwiseCaseResult:
+    # the mixture of the module docstring; few label triples occur, and
+    # without the cache the Fraction sum costs as much as choosing the rows
     probability = sum(w * ROWS[label] for w, label in zip(SIGMA_STAR_WEIGHTS.values(), labels))
     return PairwiseCaseResult(probability, "sigma_star:" + "|".join(labels))
 
@@ -335,7 +334,10 @@ def pairwise_probability(
     if strategy == "sigma_star":
         if d is None:
             raise ValueError("sigma_star needs the bound d")
-        return _mixture_value(_build_context("dfs_d", g, s, t, v, d))
+        ctx = _build_context("dfs_d", g, s, t, v, d)
+        bounded = _dfs_d_value(ctx)  # first: a target or cycle beyond d refuses as dfs_d does
+        return _mixture_row(tuple(bounded if kind == "dfs_d" else _VALUE_FUNCS[kind](ctx)
+                                  for kind in SIGMA_STAR_WEIGHTS))
     label = _VALUE_FUNCS[strategy](_build_context(strategy, g, s, t, v, d))
     return PairwiseCaseResult(ROWS[label], label)
 

@@ -201,9 +201,8 @@ class TestTablesAgainstOracle:
                         continue
                     assert res.probability == table[v, t], (strategy, t, v, res.case_label)
 
-    # A known gap in the dfs_d rows (and the sigma_star rows built the same
-    # way): behind a cycle that is only partly within reach, both pairs below
-    # are admitted with a value the oracle contradicts.
+    # A known gap in the dfs_d rows: behind a cycle that is only partly within
+    # reach, both pairs below are admitted with a value the oracle contradicts.
     DEFECT = from_edges(7, [(0, 4), (0, 5), (1, 2), (1, 5), (1, 6), (3, 4), (4, 6)])
 
     # sigma_star mixes the dfs_d row in, so it inherits both defects
@@ -231,7 +230,7 @@ class TestSigmaMixture:
     """sigma_star answers are the weighted sum of its components' rows."""
 
     def test_admits_pair_every_component_admits(self):
-        # the old hand-written rows refused this pair with cycle-outside-bound
+        # the cycle is only partly within d = 3, yet every component has a row
         inst = {c.name: c for c in default_corpus()}["far_ring"]
         res = pairwise_probability("sigma_star", inst.graph, 0, 1, 4, inst.d)
         assert res.probability == Fraction(3, 8)
