@@ -2,11 +2,14 @@
 
 The pairwise tables give, for ``dfs``, ``adfs`` and ``dfs_d``, the exact
 probability that a node ``v`` is visited before the hiding node ``t`` on a
-graph with at most one cycle.  Values depend only on coarse structural classes:
+graph with at most one cycle.  Values depend only on coarse structural classes,
+all read off the source's :class:`~hideseek.graphs.PathProfile`:
 
-* how many simple paths reach a node and how many of them fit the bound ``d``;
+* how many simple paths reach a node and how many of them fit the bound ``d``:
+  the ``within``, ``one_short`` and ``two_short`` fields of
+  :class:`~hideseek.graphs.BoundedClassSets` (``prof.bounded_sets(d)``);
 * whether a node sits on the cycle, strictly behind it, or before it;
-* for nodes behind the cycle, where their paths leave it (the exit node).
+* for nodes behind the cycle, where their paths leave it (the ``anchor``).
 
 Every branch carries a ``case_label`` so coverage of the whole table can be
 audited, and every returned probability is checked against the enumeration
@@ -124,63 +127,8 @@ def mixture_capture_bound(n: int, d: int) -> Fraction:
     return Fraction(9 * n, 16) + Fraction(13 * d - 11, 16)
 
 
-@dataclass(frozen=True)
-class _PairContext:
-    g: Graph
-    t: int
-    v: int
-    d: int | None
-    prof: PathProfile           # the simple-path structure from the source
-    t_category: str             # free | gate | cycle | behind
-
-    def one_short(self, node: int) -> bool:
-        return self.d is not None and self.prof.count_within(node, self.d) == 1
-
-    def two_short(self, node: int) -> bool:
-        return self.d is not None and self.prof.count_within(node, self.d) == 2
-
-    def cycle_fully_short(self) -> bool:
-        # the entrance (or the source itself, when it sits on the cycle) has a
-        # single path by definition and does not count against full coverage
-        return all(
-            self.two_short(w) for w in self.prof.cycle_nodes if w not in self.prof.single_path
-        )
-
-    def cycle_meets_short(self) -> bool:
-        return any(self.two_short(w) for w in self.prof.cycle_nodes)
-
-    def unique_short_path_contains(self, target: int, node: int) -> bool:
-        """target has exactly one path of length <= d and it passes node."""
-        return self.one_short(target) and node in self.prof.shortest_path(target)
-
-    def aligned_cycle_pair(self) -> bool:
-        """Both nodes one-short with one sitting on the other's short path.
-
-        Such pairs share the entrance successor, so the visit order is forced
-        rather than an even coin; the tables do not cover them.
-        """
-        if not (self.one_short(self.t) and self.one_short(self.v)):
-            return False
-        return (
-            self.unique_short_path_contains(self.t, self.v)
-            or self.unique_short_path_contains(self.v, self.t)
-        )
-
-    def exit_at_entrance_successor(self, node: int) -> bool:
-        """Whether the node's paths leave the cycle right next to the entrance.
-
-        The behind-the-cycle derivations picture the exit strictly between the
-        two entrance successors; a pendant hanging on a successor collapses
-        the independent coins they rely on.
-        """
-        anchor = self.prof.anchor.get(node)
-        if anchor is None or self.prof.entrance is None:
-            return False
-        return anchor in self.g.adj[self.prof.entrance] and anchor in self.prof.cycle_nodes
-
-
-def _build_context(strategy: str, g: Graph, s: int, t: int, v: int, d: int | None) -> _PairContext:
-    prof = cached_profiles(g, s)
+def _target_class(g: Graph, prof: PathProfile, t: int, v: int) -> str:
+    """Run the guards every table shares; the class of ``t``: free, gate, cycle or behind."""
     if v == t:
         raise PreconditionViolated("nodes-not-distinct", f"t = v = {t}")
     if prof.cycle is not None and not (g.is_leaf(t) or t in prof.cycle_nodes):
@@ -190,105 +138,102 @@ def _build_context(strategy: str, g: Graph, s: int, t: int, v: int, d: int | Non
     if t in prof.cut_nodes(v):
         raise PreconditionViolated("target-on-every-v-path", f"t = {t}, v = {v}")
     if t in prof.single_path:
-        t_category = "gate" if t in prof.through_entrance else "free"
-    else:
-        t_category = "cycle" if t in prof.cycle_nodes else "behind"
-    if strategy == "dfs_d":
-        if d is None:
-            raise ValueError(f"{strategy} needs the bound d")
-        if prof.distance(t) > d:
-            raise PreconditionViolated("target-beyond-bound", f"dist(s,{t}) > {d}")
-    return _PairContext(g=g, t=t, v=v, d=d, prof=prof, t_category=t_category)
+        return "gate" if t in prof.through_entrance else "free"
+    return "cycle" if t in prof.cycle_nodes else "behind"
 
 
 def _no_row(strategy: str, detail: str):
     raise PreconditionViolated("no-table-row", f"{strategy}: {detail}")
 
 
-def _dfs_value(ctx: _PairContext) -> str:
-    v = ctx.v
-    if ctx.t_category == "free":
-        return "dfs:free-target"
-    if ctx.t_category == "gate":
-        if v in ctx.prof.single_path:
-            return "dfs:gate-target:v-single"
-        return "dfs:gate-target:v-double"
-    if ctx.t_category == "cycle":
-        if v in ctx.prof.cycle_nodes:
-            return "dfs:cycle-pair"
-        _no_row("dfs", "target on the cycle, v off it")
-    if v in ctx.prof.cycle_nodes:
-        return "dfs:behind-target:v-cycle"
-    if v in ctx.prof.double_path:
-        return "dfs:behind-target:v-behind"
-    _no_row("dfs", "target behind the cycle, single-path v")
+def _unbounded_row(table: str, prof: PathProfile, t_class: str, v: int) -> str:
+    """The free, cycle and behind rows, which ``dfs`` and ``adfs`` share."""
+    if t_class == "free":
+        return f"{table}:free-target"
+    if t_class == "cycle":
+        if v in prof.cycle_nodes:
+            return f"{table}:cycle-pair"
+        _no_row(table, "target on the cycle, v off it")
+    if v in prof.cycle_nodes:
+        return f"{table}:behind-target:v-cycle"
+    if v in prof.double_path:
+        return f"{table}:behind-target:v-behind"
+    _no_row(table, "target behind the cycle, single-path v")
 
 
-def _adfs_value(ctx: _PairContext) -> str:
-    v = ctx.v
-    if ctx.t_category == "free":
-        return "adfs:free-target"
-    if ctx.t_category == "gate":
-        if v in ctx.prof.single_path:
-            return "adfs:gate-target:v-single"
-        if v in ctx.prof.cycle_nodes:
-            return "adfs:gate-target:v-cycle"
-        if ctx.exit_at_entrance_successor(v):
-            _no_row("adfs", "v hangs off an entrance successor (degenerate exit)")
-        return "adfs:gate-target:v-behind"
-    if ctx.t_category == "cycle":
-        if v in ctx.prof.cycle_nodes:
-            return "adfs:cycle-pair"
-        _no_row("adfs", "target on the cycle, v off it")
-    if v in ctx.prof.cycle_nodes:
-        return "adfs:behind-target:v-cycle"
-    if v in ctx.prof.double_path:
-        return "adfs:behind-target:v-behind"
-    _no_row("adfs", "target behind the cycle, single-path v")
+# Each table's value function maps (graph, profile, class of t, t, v, d) to a key of ROWS.
+
+def _dfs_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: int | None) -> str:
+    if t_class != "gate":
+        return _unbounded_row("dfs", prof, t_class, v)
+    return "dfs:gate-target:v-single" if v in prof.single_path else "dfs:gate-target:v-double"
 
 
-def _dfs_d_value(ctx: _PairContext) -> str:
-    v, d = ctx.v, ctx.d
-    assert d is not None
-    if ctx.prof.distance(v) > d:
+def _adfs_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: int | None) -> str:
+    if t_class != "gate":
+        return _unbounded_row("adfs", prof, t_class, v)
+    if v in prof.single_path:
+        return "adfs:gate-target:v-single"
+    if v in prof.cycle_nodes:
+        return "adfs:gate-target:v-cycle"
+    # The behind-the-cycle derivations picture the exit strictly between the
+    # two entrance successors; a pendant hanging on a successor collapses the
+    # independent coins they rely on.
+    if prof.anchor[v] in g.adj[prof.entrance]:
+        _no_row("adfs", "v hangs off an entrance successor (degenerate exit)")
+    return "adfs:gate-target:v-behind"
+
+
+def _dfs_d_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: int) -> str:
+    if prof.distance(t) > d:
+        raise PreconditionViolated("target-beyond-bound", f"dist(s,{t}) > {d}")
+    if prof.distance(v) > d:
         # everything within reach is visited before anything beyond it,
         # regardless of how much of the cycle the bound covers
         return "dfs_d:far-v"
+    sets = prof.bounded_sets(d)
     # the bounded-DFS rows are only derived when some cycle node is reachable
     # by two short paths; outside that domain the table refuses
-    if ctx.prof.cycle_nodes and not ctx.cycle_meets_short():
+    if prof.cycle_nodes and not prof.cycle_nodes & sets.two_short:
         raise PreconditionViolated("cycle-outside-bound", "dfs_d: no cycle node has two paths within d")
-    if ctx.t_category == "free":
+    if t_class == "free":
         return "dfs_d:free-target"
-    if ctx.t_category == "gate":
-        if ctx.two_short(v):
+    # the entrance (or the source itself, when it sits on the cycle) has a
+    # single path by definition and does not count against full coverage
+    cycle_fully_short = prof.cycle_nodes & prof.double_path <= sets.two_short
+    if t_class == "gate":
+        if v in sets.two_short:
             return "dfs_d:gate-target:v-two-short"
-        if v in ctx.prof.single_path:
+        if v in prof.single_path:
             return "dfs_d:gate-target:v-single-short"
-        if ctx.cycle_fully_short():
+        if cycle_fully_short:
             return "dfs_d:gate-target:v-one-short-cycle-reachable"
         return "dfs_d:gate-target:v-one-short-cycle-partial"
-    if ctx.t_category == "cycle":
-        if v in ctx.prof.cycle_nodes:
-            if ctx.aligned_cycle_pair():
+    if t_class == "cycle":
+        if v in prof.cycle_nodes:
+            # Both nodes one-short with one on the other's short path share the
+            # entrance successor, so the visit order is forced rather than an
+            # even coin; the tables do not cover them.
+            if {t, v} <= sets.one_short and (v in prof.shortest_path(t) or t in prof.shortest_path(v)):
                 _no_row("dfs_d", "aligned one-short cycle pair (forced order)")
             return "dfs_d:cycle-pair"
         _no_row("dfs_d", "target on the cycle, v off it")
-    # target strictly behind the cycle
-    if v in ctx.prof.cycle_nodes:
-        if ctx.unique_short_path_contains(ctx.t, v):
+    # target strictly behind the cycle (and within d, so one- or two-short)
+    if v in prof.cycle_nodes:
+        if t in sets.one_short and v in prof.shortest_path(t):
             return "dfs_d:behind-target:v-on-short-path"
-        if ctx.two_short(v):
+        if v in sets.two_short:
             return "dfs_d:behind-target:v-two-short"
         return "dfs_d:behind-target:v-one-short"
-    if v not in ctx.prof.double_path:
+    if v not in prof.double_path:
         _no_row("dfs_d", "target behind the cycle, single-path v")
-    t_short, v_short = ctx.two_short(ctx.t), ctx.two_short(v)
+    t_short, v_short = t in sets.two_short, v in sets.two_short
     if t_short and not v_short:
         _no_row("dfs_d", "two-short target against one-short v is underived")
-    if ctx.cycle_fully_short():
+    if cycle_fully_short:
         if not t_short and v_short:
-            if ctx.unique_short_path_contains(ctx.t, ctx.prof.anchor[v]):
+            # t's path within d is its only one: does v's exit lie on it?
+            if prof.anchor[v] in prof.shortest_path(t):
                 return "dfs_d:both-behind:reachable:exit-on-path"
             return "dfs_d:both-behind:reachable:exit-off-path"
         if t_short and v_short:
@@ -301,11 +246,7 @@ def _dfs_d_value(ctx: _PairContext) -> str:
     return "dfs_d:both-behind:partial:both-one-short"
 
 
-_VALUE_FUNCS = {
-    "dfs": _dfs_value,
-    "adfs": _adfs_value,
-    "dfs_d": _dfs_d_value,
-}
+_VALUE_FUNCS = {"dfs": _dfs_value, "adfs": _adfs_value, "dfs_d": _dfs_d_value}
 
 
 @cache
@@ -314,6 +255,13 @@ def _mixture_row(labels: tuple[str, ...]) -> PairwiseCaseResult:
     # without the cache the Fraction sum costs as much as choosing the rows
     probability = sum(w * ROWS[label] for w, label in zip(SIGMA_STAR_WEIGHTS.values(), labels))
     return PairwiseCaseResult(probability, "sigma_star:" + "|".join(labels))
+
+
+def _check_strategy(strategy: str, d: int | None) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if d is None and strategy in ("dfs_d", "sigma_star"):
+        raise ValueError(f"{strategy} needs the bound d")
 
 
 def pairwise_probability(
@@ -327,18 +275,18 @@ def pairwise_probability(
     """Exact probability that ``v`` precedes the hiding node ``t``.
 
     Raises :class:`PreconditionViolated` (with the failed clause) outside the
-    table's domain.
+    table's domain; ``ValueError`` before that for ``dfs_d`` or ``sigma_star`` without ``d``.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _check_strategy(strategy, d)
+    prof = cached_profiles(g, s)
+    t_class = _target_class(g, prof, t, v)
     if strategy == "sigma_star":
-        if d is None:
-            raise ValueError("sigma_star needs the bound d")
-        ctx = _build_context("dfs_d", g, s, t, v, d)
-        bounded = _dfs_d_value(ctx)  # first: a target or cycle beyond d refuses as dfs_d does
-        return _mixture_row(tuple(bounded if kind == "dfs_d" else _VALUE_FUNCS[kind](ctx)
-                                  for kind in SIGMA_STAR_WEIGHTS))
-    label = _VALUE_FUNCS[strategy](_build_context(strategy, g, s, t, v, d))
+        # dfs_d first: a target or cycle beyond d refuses as dfs_d does
+        bounded = _dfs_d_value(g, prof, t_class, t, v, d)
+        return _mixture_row(tuple(
+            bounded if table == "dfs_d" else _VALUE_FUNCS[table](g, prof, t_class, t, v, d)
+            for table in SIGMA_STAR_WEIGHTS))
+    label = _VALUE_FUNCS[strategy](g, prof, t_class, t, v, d)
     return PairwiseCaseResult(ROWS[label], label)
 
 
@@ -354,6 +302,7 @@ def expected_position_from_tables(
     Nodes on every source->t path contribute 1; nodes reachable only through
     ``t`` contribute 0 (expanding search cannot reach them earlier).
     """
+    _check_strategy(strategy, d)
     prof = cached_profiles(g, s)
     anchors = prof.cut_nodes(t)
     total = Fraction(len(anchors) - 1)
@@ -362,6 +311,19 @@ def expected_position_from_tables(
             continue
         total += pairwise_probability(strategy, g, s, t, v, d).probability
     return total
+
+
+def admitted_pairs(strategy: str, g: Graph, s: int, d: int | None = None):
+    """``(t, v, answer)`` for every ordered pair the table admits, in node order."""
+    for t in range(g.n):
+        for v in range(g.n):
+            if v == t:
+                continue
+            try:
+                res = pairwise_probability(strategy, g, s, t, v, d)
+            except PreconditionViolated:
+                continue
+            yield t, v, res
 
 
 def pairwise_csv_rows(
@@ -375,14 +337,5 @@ def pairwise_csv_rows(
 
     Row format: ``instance,strategy,t,v,case_label,p/q``.
     """
-    rows = []
-    for t in sorted(g.node_set):
-        for v in sorted(g.node_set):
-            if v == t:
-                continue
-            try:
-                res = pairwise_probability(strategy, g, s, t, v, d)
-            except PreconditionViolated:
-                continue
-            rows.append(f"{instance},{strategy},{t},{v},{res.case_label},{res.probability}")
-    return rows
+    return [f"{instance},{strategy},{t},{v},{res.case_label},{res.probability}"
+            for t, v, res in admitted_pairs(strategy, g, s, d)]

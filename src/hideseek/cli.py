@@ -80,13 +80,14 @@ def gen(kind, n, d, out):
 def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str,
                   d: int | None, trials: int, seed: int, pointwise: bool) -> str:
     check_node(g.n, target, "target")
+    # built in every mode, so that the closed forms refuse the bounds the policies refuse
+    policy = policy_from_id(strategy, d=d, pointwise=pointwise)
     if mode == "closed":
         if strategy == "dfs" and g.is_tree():
             value = tree_dfs_expected_position(g, g.source, target)
         else:
             value = expected_position_from_tables(strategy, g, g.source, target, d)
         return f"{instance},{strategy},{target},closed,{value}"
-    policy = policy_from_id(strategy, d=d, pointwise=pointwise)
     if mode == "exact":
         value = exact_expected_pos(policy, g, target, memoized=True)
         return f"{instance},{strategy},{target},exact,{value}"

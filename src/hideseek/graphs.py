@@ -259,9 +259,6 @@ class PathProfile:
     entrance: int | None            # cycle node closest to the source
     parent: dict[int, int]          # BFS predecessor of every other node, in BFS order
 
-    def count_within(self, v: int, bound: int) -> int:
-        return sum(1 for length in self.lengths.get(v, ()) if length <= bound)
-
     def distance(self, v: int) -> int:
         return self.lengths[v][0]
 

@@ -11,14 +11,13 @@ from fractions import Fraction
 
 from .analysis import (
     ALL_CASE_LABELS,
+    admitted_pairs,
     hider_payoff,
     mixture_capture_bound,
-    pairwise_probability,
     palm_expected_position,
     tree_dfs_expected_position,
 )
 from .corpus import default_corpus
-from .errors import PreconditionViolated
 from .graphs import bfs_distances
 from .hider import (
     BenefitFunction,
@@ -164,18 +163,6 @@ def run_examples(mc_trials: int = 100_000, mc_seed: int = 2024) -> SuiteReport:
     return report
 
 
-def _corpus_pairs(instance, strategy):
-    g, d = instance.graph, instance.d
-    for t in range(g.n):
-        for v in range(g.n):
-            if v == t:
-                continue
-            try:
-                yield t, v, pairwise_probability(strategy, g, 0, t, v, d)
-            except PreconditionViolated:
-                continue
-
-
 def _visit_tables(g, d: int) -> dict[str, dict[tuple[int, int], Fraction]]:
     """P(v before t) for every pair of ``g``, by strategy; sigma_star is mixed
     from its components' tables, so each component DAG is expanded once."""
@@ -196,7 +183,7 @@ def run_tables(corpus: str = "default") -> SuiteReport:
         for strategy, table in tables.items():
             bad = None
             pairs = 0
-            for t, v, res in _corpus_pairs(instance, strategy):
+            for t, v, res in admitted_pairs(strategy, instance.graph, 0, instance.d):
                 got = table[v, t]
                 fired[res.case_label] = fired.get(res.case_label, 0) + 1
                 pairs += 1
@@ -235,7 +222,7 @@ def run_prop1() -> SuiteReport:
         )
         bad = None
         pairs = 0
-        for t, v, res in _corpus_pairs(instance, "sigma_star"):
+        for t, v, res in admitted_pairs("sigma_star", g, 0, d):
             # the paper's weights, stated apart from seeker.SIGMA_STAR_WEIGHTS
             combo = (Fraction(3, 8) * (tables["dfs"][v, t] + tables["adfs"][v, t])
                      + Fraction(1, 4) * tables["dfs_d"][v, t])

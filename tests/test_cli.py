@@ -109,6 +109,23 @@ class TestEval:
         result = runner.invoke(main, ["eval", "--graph", str(graph), "--strategy", "dfs_d"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("mode", ["closed", "exact"])
+    @pytest.mark.parametrize("strategy,bound,target,message", [
+        ("dfs_d", [], "0", "dfs_d needs a bound d"),
+        ("dfs_d", [], "5", "dfs_d needs a bound d"),
+        ("sigma_star", [], "0", "sigma_star needs a bound d"),
+        ("sigma_star", ["--d", "0"], "3", "mixture needs a positive bound"),
+        ("dfs_d", ["--d", "-1"], "3", "bound must be non-negative"),
+    ])
+    def test_every_mode_refuses_the_bounds_the_policy_refuses(
+            self, tmp_path, mode, strategy, bound, target, message):
+        runner = CliRunner()
+        graph = self._ex1(runner, tmp_path)
+        result = runner.invoke(main, ["eval", "--graph", str(graph), "--strategy", strategy,
+                                      "--mode", mode, "--target", target, *bound])
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+
     @pytest.mark.parametrize("mode,target", [("closed", "99"), ("closed", "-1"), ("exact", "99")])
     def test_target_out_of_range(self, tmp_path, mode, target):
         runner = CliRunner()

@@ -37,8 +37,8 @@ def _buckets(counts) -> dict[int, frozenset[int]]:
 
 def reachability_classes(g, s, d) -> dict[int, frozenset[int]]:
     """Nodes by the number of simple paths of length <= d from s, read off the profile."""
-    prof = path_profiles(g, s)
-    return _buckets({v: prof.count_within(v, d) for v in g.node_set})
+    sets = path_profiles(g, s).bounded_sets(d)
+    return _buckets({v: (v in sets.within) + (v in sets.two_short) for v in g.node_set})
 
 
 def restricted_classes(g, s, u, d) -> dict[int, frozenset[int]]:

@@ -104,7 +104,7 @@ class TestExample2:
     def test_pendants_reachable_two_ways(self):
         g, _ = example2_graph(17, 5)
         prof = path_profiles(g, 0)
-        assert all(prof.count_within(v, 5) == 2 for v in range(13, 17))
+        assert set(range(13, 17)) <= prof.bounded_sets(5).two_short
 
     def test_bad_shape_no_pendants(self):
         with pytest.raises(BadShape):
