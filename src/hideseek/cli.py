@@ -15,7 +15,7 @@ from .analysis import expected_position_from_tables, tree_dfs_expected_position
 from .errors import HideSeekError
 from .graphs import Graph, check_node, graph_from_json, graph_to_json
 from .hider import HiderStrategy, all_trees, example1_graph, example2_graph, palm_tree
-from .oracle import exact_expected_pos
+from .oracle import DEFAULT_NODE_LIMIT, exact_expected_pos
 from .seeker import policy_from_id
 from .simulate import monte_carlo
 from .suites import SUITES
@@ -93,7 +93,7 @@ def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str
         return f"{instance},{strategy},{target},exact,{value}"
     res = monte_carlo(policy, HiderStrategy.pure(g, target), trials, seed)
     exact = ""
-    if g.n <= 12:
+    if g.n <= DEFAULT_NODE_LIMIT:
         exact = str(exact_expected_pos(policy, g, target, memoized=True))
     return (
         f"{instance},{strategy},{trials},{seed},{res.mean!r},{res.stderr!r},"

@@ -10,6 +10,8 @@ its memoized ``cached_profiles``) answers every simple-path question the
 engines ask from one breadth-first search from the source: on a graph with at
 most one cycle each node has one or two simple paths, and both follow from
 the BFS distances, the cycle's entrance and the node's anchor on the cycle.
+The search tree also gives the cycle: the one edge it leaves out closes it,
+and the two ends of that edge climb the tree to meet at the entrance.
 ``must_pass``, ``simple_path_counts`` and ``closed_subgraph`` are brute,
 definitional references that the tests and benchmarks check it against.
 ``graph_from_json`` checks a document's shape and raises
@@ -99,7 +101,7 @@ class Subgraph:
 
 @dataclass(frozen=True)
 class Cycle:
-    """The node set of a cycle, stored in traversal order."""
+    """The node set of a cycle, stored in traversal order from its entrance."""
 
     order: tuple[int, ...]
 
@@ -143,9 +145,11 @@ def check_node(n: int, v, what: str = "node") -> None:
         raise NodeOutOfRange(f"{what} {v} outside 0..{n - 1}")
 
 
-def bfs_distances(g, s: int) -> dict[int, int]:
-    """Hop distances from ``s`` to every reachable node."""
+def _bfs_tree(g, s: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Hop distances from ``s`` to every reachable node, and the BFS parent of
+    every reached node but ``s``, both in visiting order."""
     dist = {s: 0}
+    parent: dict[int, int] = {}
     queue = deque([s])
     adj = g.adj
     while queue:
@@ -153,8 +157,14 @@ def bfs_distances(g, s: int) -> dict[int, int]:
         for w in adj[u]:
             if w not in dist:
                 dist[w] = dist[u] + 1
+                parent[w] = u
                 queue.append(w)
-    return dist
+    return dist, parent
+
+
+def bfs_distances(g, s: int) -> dict[int, int]:
+    """Hop distances from ``s`` to every reachable node."""
+    return _bfs_tree(g, s)[0]
 
 
 def must_pass(g, s: int, t: int) -> frozenset[int]:
@@ -184,51 +194,30 @@ def must_pass(g, s: int, t: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _two_core(g) -> set[int]:
-    """Nodes remaining after repeatedly pruning degree-<=1 nodes."""
-    deg = {v: len(g.adj[v]) for v in g.node_set}
-    queue = deque(v for v, d in deg.items() if d <= 1)
-    dead: set[int] = set()
-    while queue:
-        v = queue.popleft()
-        if v in dead:
-            continue
-        dead.add(v)
-        for w in g.adj[v]:
-            if w in dead:
-                continue
-            deg[w] -= 1
-            if deg[w] <= 1:
-                queue.append(w)
-    return set(g.node_set) - dead
+def _tree_cycle(g, dist: dict[int, int], parent: dict[int, int]) -> Cycle:
+    """The cycle of a graph with one, from a BFS tree: the one edge the tree
+    leaves out closes it, and climbing ``parent`` from both ends of that edge
+    meets at the entrance, the cycle node closest to the tree's root."""
+    chords = [(u, v) for u, v in g.edges if parent.get(u) != v and parent.get(v) != u]
+    if len(chords) != 1:
+        raise MultipleCycles(f"the search tree leaves out {len(chords)} edges (disconnected input?)")
+    (a, b), = chords
+    left, right = [a], [b]
+    while left[-1] != right[-1]:
+        if dist[left[-1]] >= dist[right[-1]]:
+            left.append(parent[left[-1]])
+        else:
+            right.append(parent[right[-1]])
+    return Cycle(tuple(reversed(left)) + tuple(right[:-1]))
 
 
 def find_cycle(g) -> Cycle | None:
-    """The unique cycle of a connected graph with at most one cycle.
+    """The unique cycle of a connected graph with at most one cycle, or ``None``.
 
-    Returns ``None`` on trees and raises :class:`MultipleCycles` when the edge
-    count implies more than one independent cycle.
+    Its ``order`` starts at the entrance seen from the graph's source (from the
+    least node of a :class:`Subgraph`).  :class:`MultipleCycles` on more edges.
     """
-    n = len(g.node_set)
-    m = g.edge_count
-    if m > n:
-        raise MultipleCycles(f"{m} edges over {n} nodes")
-    if m <= n - 1:
-        return None
-    core = _two_core(g)
-    if not core:
-        raise MultipleCycles("edge count says cycle but none found (disconnected input?)")
-    start = min(core)
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = next(w for w in g.adj[cur] if w in core and w != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return Cycle(tuple(order))
+    return path_profiles(g, g.source if isinstance(g, Graph) else min(g.nodes)).cycle
 
 
 @dataclass(frozen=True)
@@ -246,7 +235,8 @@ class PathProfile:
     """Simple-path structure from a fixed source in a <=1-cycle graph.
 
     Built from one breadth-first search from the source: ``parent`` is its
-    shortest-path tree, in visiting order.  ``lengths[v]`` holds the sorted
+    shortest-path tree, in visiting order, and the one edge that tree leaves
+    out closes the ``cycle``.  ``lengths[v]`` holds the sorted
     lengths of all simple source->v paths: one entry for nodes the cycle does
     not split, two for the nodes whose paths leave the cycle at an ``anchor``
     other than the ``entrance``, where the two arcs round the cycle differ.
@@ -320,20 +310,13 @@ class PathProfile:
 
 def path_profiles(g, s: int) -> PathProfile:
     """All simple-path lengths from ``s`` (at most two per node), from one BFS."""
-    cyc = find_cycle(g)
-    dist = {s: 0}
-    parent: dict[int, int] = {}
-    queue = deque([s])
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
+    n, m = len(g.node_set), g.edge_count
+    if m > n:
+        raise MultipleCycles(f"{m} edges over {n} nodes")
+    dist, parent = _bfs_tree(g, s)
+    cyc = _tree_cycle(g, dist, parent) if m == n else None
     on_cycle = frozenset() if cyc is None else cyc.node_set
-    entrance = min(on_cycle, key=dist.__getitem__, default=None)
+    entrance = None if cyc is None else cyc.order[0]
     # every cycle node but the entrance has two paths, and hands them on to
     # the nodes hanging behind it
     anchor: dict[int, int] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
@@ -227,21 +227,24 @@ def cached_position_table(policy: SeekerPolicy, g: Graph) -> dict[int, Fraction]
 
 def best_response_hider(
     n: int,
-    benefit: BenefitFunction,
+    benefits: Sequence[BenefitFunction],
     policy: SeekerPolicy,
-) -> tuple[Graph, int, Fraction]:
-    """Exhaustive best response over all labeled trees and hiding nodes."""
-    if n > 8:
-        raise TooLarge("best-response search capped at n = 8")
-    best: tuple[Graph, int, Fraction] | None = None
+) -> list[tuple[Graph, int, Fraction]]:
+    """Exhaustive best response to each of ``benefits`` over all labeled trees
+    on ``n`` nodes and their hiding nodes, from one enumeration of the trees.
+
+    Per benefit, the first ``(tree, hiding node, payoff)`` with the highest
+    payoff benefit(distance) * expected position.  ``all_trees`` checks ``n``.
+    """
+    best: list = [None] * len(benefits)
     for g in all_trees(n):
         table = cached_position_table(policy, g)
         dist = bfs_distances(g, g.source)
         for h in range(n):
-            payoff = benefit(dist[h]) * table[h]
-            if best is None or payoff > best[2]:
-                best = (g, h, payoff)
-    assert best is not None
+            for i, benefit in enumerate(benefits):
+                payoff = benefit(dist[h]) * table[h]
+                if best[i] is None or payoff > best[i][2]:
+                    best[i] = (g, h, payoff)
     return best
 
 

@@ -212,8 +212,7 @@ class BoundedDFSPolicy(_RecencyPolicy):
     kind = "dfs_d"
 
     def __init__(self, d: int):
-        if d < 0:
-            raise ValueError("bound must be non-negative")
+        check_bound(self.kind, d)
         self.d = d
 
     @property
@@ -363,10 +362,20 @@ SIGMA_STAR_WEIGHTS: dict[str, Fraction] = {
 }
 
 
+def check_bound(kind: str, d: int | None) -> None:
+    """Refuse a bound ``d`` that the policy ``kind`` does not take: ``dfs_d``
+    needs ``d >= 0`` and ``sigma_star`` needs ``d >= 1``; the rest ignore it."""
+    if d is None and kind in ("dfs_d", "sigma_star"):
+        raise ValueError(f"{kind} needs a bound d")
+    if kind == "dfs_d" and d < 0:
+        raise ValueError("bound must be non-negative")
+    if kind == "sigma_star" and d < 1:
+        raise ValueError("mixture needs a positive bound")
+
+
 def sigma_star(d: int, pointwise: bool = False) -> MixturePolicy:
     """The 3/8 dfs + 3/8 adfs + 1/4 dfs_d seeker mixture."""
-    if d < 1:
-        raise ValueError("mixture needs a positive bound")
+    check_bound("sigma_star", d)
     components = [(w, policy_from_id(kind, d=d)) for kind, w in SIGMA_STAR_WEIGHTS.items()]
     return MixturePolicy(components, kind="sigma_star", pointwise=pointwise)
 
@@ -378,12 +387,8 @@ def policy_from_id(kind: str, d: int | None = None, pointwise: bool = False) -> 
     if kind == "adfs":
         return AdjustedDFSPolicy()
     if kind == "dfs_d":
-        if d is None:
-            raise ValueError("dfs_d needs a bound d")
         return BoundedDFSPolicy(d)
     if kind == "sigma_star":
-        if d is None:
-            raise ValueError("sigma_star needs a bound d")
         return sigma_star(d, pointwise=pointwise)
     if kind == "lowest_label":
         return LabelOrderPolicy(lowest=True)

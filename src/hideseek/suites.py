@@ -31,10 +31,12 @@ from .hider import (
 )
 from .oracle import (
     adversarial_policy_battery,
+    best_response_hider,
     cached_position_table,
     componentwise,
     exact_expected_pos,
     exact_visit_table,
+    hider_value,
     reachable_observations,
 )
 from .seeker import (
@@ -105,20 +107,22 @@ def run_lemma1(max_n: int = 7) -> SuiteReport:
     return report
 
 
+def _check_palm_battery(report: SuiteReport, n: int, d: int, check_id: str, agree: str) -> None:
+    """Crown-uniform hiding on the palm of height ``d`` holds every battery
+    policy to (n+d-1)/2; the pass detail reads ``<count> policies <agree> <value>``."""
+    strategy = palm_crown_mixed(n, d)
+    want = palm_expected_position(n, d)
+    results = adversarial_policy_battery(strategy.atoms[0][0], strategy, d)
+    bad = [f"{name}: {value}" for name, value in results if value != want]
+    report.add(check_id, not bad, "; ".join(bad) if bad else f"{len(results)} policies {agree} {want}")
+
+
 def run_lemma2(max_n: int = 10) -> SuiteReport:
     """Crown-uniform hiding on palms pins every battery policy to (n+d-1)/2."""
     report = SuiteReport("lemma2")
     for n in range(2, max_n + 1):
         for d in range(1, n):
-            strategy = palm_crown_mixed(n, d)
-            want = palm_expected_position(n, d)
-            results = adversarial_policy_battery(strategy.atoms[0][0], strategy, d)
-            bad = [f"{name}: {value}" for name, value in results if value != want]
-            report.add(
-                f"palm n={n} d={d}",
-                not bad,
-                "; ".join(bad) if bad else f"{len(results)} policies = {want}",
-            )
+            _check_palm_battery(report, n, d, f"palm n={n} d={d}", "=")
     return report
 
 
@@ -258,47 +262,23 @@ def run_equilibrium(
     report = SuiteReport("equilibrium")
     policy = DFSPolicy()
     for n in tree_sizes(ns):
-        if benefit_specs:
-            benefits = [BenefitFunction.from_spec(spec, n) for spec in benefit_specs]
-        else:
-            benefits = _equilibrium_benefits(n)
-        position_tables = []
-        for g in all_trees(n):
-            position_tables.append((cached_position_table(policy, g), bfs_distances(g, 0)))
+        benefits = ([BenefitFunction.from_spec(spec, n) for spec in benefit_specs] if benefit_specs
+                    else _equilibrium_benefits(n))
         tie_depths: set[int] = set()
-        for benefit in benefits:
+        searched = best_response_hider(n, benefits, policy)
+        for benefit, (_, _, best) in zip(benefits, searched):
             pure_scores = {d: hider_payoff(benefit, d, n) for d in range(1, n)}
             want = max(pure_scores.values())
             d_star = min(d for d, val in pure_scores.items() if val == want)
             tie_depths.add(d_star)
-            best = Fraction(0)
-            for table, dist in position_tables:
-                for h in range(n):
-                    payoff = benefit(dist[h]) * table[h]
-                    if payoff > best:
-                        best = payoff
-            crown = palm_crown_mixed(n, d_star)
-            crown_value = sum(
-                (p * cached_position_table(policy, g)[h] for g, h, p in crown.atoms),
-                Fraction(0),
-            )
-            crown_payoff = benefit(d_star) * crown_value
+            crown_payoff = benefit(d_star) * hider_value(policy, palm_crown_mixed(n, d_star))
             report.add(
                 f"best-response n={n} {benefit.kind}",
                 best == want and crown_payoff == want,
                 f"search max {best}, palm-crown payoff {crown_payoff}, target {want}",
             )
-        del position_tables
         for d_star in sorted(tie_depths):
-            strategy = palm_crown_mixed(n, d_star)
-            want = palm_expected_position(n, d_star)
-            results = adversarial_policy_battery(strategy.atoms[0][0], strategy, d_star)
-            bad = [f"{name}: {val}" for name, val in results if val != want]
-            report.add(
-                f"seeker-tie n={n} d={d_star}",
-                not bad,
-                "; ".join(bad) if bad else f"{len(results)} policies tie at {want}",
-            )
+            _check_palm_battery(report, n, d_star, f"seeker-tie n={n} d={d_star}", "tie at")
     if benefit_specs is None:
         tie = optimal_hiding_depths(BenefitFunction.geometric("0.9", 10), 10)
         report.add(

@@ -153,10 +153,27 @@ class TestPairwisePreconditions:
     def test_bound_missing_raised_before_any_guard(self, strategy):
         g, t = example1_graph(10, 3)
         # t = v and a source target would each be refused or answered by a guard
-        with pytest.raises(ValueError, match=f"{strategy} needs the bound d"):
+        with pytest.raises(ValueError, match=f"{strategy} needs a bound d"):
             pairwise_probability(strategy, g, 0, t, t)
-        with pytest.raises(ValueError, match=f"{strategy} needs the bound d"):
+        with pytest.raises(ValueError, match=f"{strategy} needs a bound d"):
             expected_position_from_tables(strategy, g, 0, 0)
+
+    @pytest.mark.parametrize("strategy,d,message", [
+        ("dfs_d", -1, "bound must be non-negative"),
+        ("sigma_star", 0, "mixture needs a positive bound"),
+        ("sigma_star", -2, "mixture needs a positive bound"),
+    ])
+    def test_bound_the_policy_refuses_is_refused_alike(self, strategy, d, message):
+        g, t = example1_graph(10, 3)
+        with pytest.raises(ValueError, match=message):
+            policy_from_id(strategy, d=d)
+        # a source target has no pair to refuse, and a table answer would hide the bad bound
+        with pytest.raises(ValueError, match=message):
+            expected_position_from_tables(strategy, g, 0, 0, d)
+        with pytest.raises(ValueError, match=message):
+            expected_position_from_tables(strategy, g, 0, t, d)
+        with pytest.raises(ValueError, match=message):
+            pairwise_probability(strategy, g, 0, t, 5, d)
 
     def test_cycle_outside_bound(self):
         # ring far beyond reach: near rows refuse rather than extrapolate
@@ -293,7 +310,7 @@ class TestSigmaMixture:
 
     def test_bound_missing(self):
         g, t = example1_graph(10, 3)
-        with pytest.raises(ValueError, match="sigma_star needs the bound d"):
+        with pytest.raises(ValueError, match="sigma_star needs a bound d"):
             pairwise_probability("sigma_star", g, 0, t, 5)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hideseek import suites
+from hideseek import __version__, suites
 from hideseek.cli import MODES, SPEC_FIELDS, main
 from hideseek.hider import TREE_ENUM_LIMIT
 
@@ -95,6 +98,17 @@ class TestEval:
         assert outs[0] == outs[1]
         header = outs[0].decode().splitlines()[0]
         assert header == "instance,strategy,trials,seed,mean,stderr,ci_lo,ci_hi,exact"
+
+    @pytest.mark.parametrize("n,exact", [(12, "7"), (13, "")])
+    def test_mc_exact_column_follows_the_oracle_guard(self, tmp_path, n, exact):
+        runner = CliRunner()
+        out = tmp_path / "palm.json"
+        invoke(runner, "gen", "palm", "--n", str(n), "--d", "3", "--out", str(out))
+        with runner.isolated_filesystem():
+            result = invoke(runner, "eval", "--graph", str(out), "--strategy", "dfs",
+                            "--target", "5", "--mode", "mc", "--trials", "50")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1].rsplit(",", 1)[1] == exact
 
     def test_missing_target_rejected(self, tmp_path):
         runner = CliRunner()
@@ -221,6 +235,15 @@ class TestVerify:
         assert result.stderr == f"error: tree enumeration capped at n = {TREE_ENUM_LIMIT}\n"
 
 
+def test_module_route_runs_without_install(tmp_path):
+    """``PYTHONPATH=src python -m hideseek.cli`` serves where ``pip install -e .`` cannot."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "hideseek.cli", "--version"], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().endswith(f"version {__version__}")
+
+
 VALID_DOC = {"n": 3, "edges": [[0, 1], [1, 2]], "source": 0, "target": 2}
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-4, 4) | st.floats(-4, 4) | st.text(max_size=3),
@@ -335,6 +358,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (["prop1"], "verify_prop1.txt"),
     (["lemma2"], "verify_lemma2.txt"),
     (["equivalence", "--max-n", "6"], "verify_equivalence_max_n_6.txt"),
+    (["equilibrium", "--n", "5", "--n", "6"], "verify_equilibrium_n_5_6.txt"),
 ])
 def test_verify_report_is_golden(args, golden):
     """Suite reports stay byte-identical to the recorded output."""

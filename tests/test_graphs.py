@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hideseek.graphs import (
     simple_path_counts,
 )
 from hideseek.hider import example1_graph, example2_graph, palm_tree, prufer_decode
+from hideseek.seeker import execute, policy_from_id
 
 from graph_strategies import at_most_one_cycle
 
@@ -66,6 +68,42 @@ def brute_simple_paths(g, s):
 
     walk([s])
     return paths
+
+
+def brute_cycle_nodes(g) -> frozenset[int]:
+    """Nodes on the edges whose removal leaves ``g`` connected (independent reference)."""
+    def connected_without(cut):
+        start = min(g.node_set)
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for e in g.edges - {cut}:
+                if u in e:
+                    w = e[0] + e[1] - u
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return len(seen) == len(g.node_set)
+
+    return frozenset(x for e in g.edges if connected_without(e) for x in e)
+
+
+def check_cycle(g, s) -> None:
+    """The profile's cycle from ``s``: the brute node set, entered nearest ``s``, walked edge by edge."""
+    prof = path_profiles(g, s)
+    expected = brute_cycle_nodes(g)
+    found = find_cycle(g)  # rooted at the source of a Graph, the least node of a Subgraph
+    assert (frozenset() if found is None else found.node_set) == expected
+    if not expected:
+        assert prof.cycle is None and prof.entrance is None
+        return
+    order = prof.cycle.order
+    assert len(order) == len(set(order)) and prof.cycle.node_set == expected
+    dist = bfs_distances(g, s)
+    assert prof.entrance == order[0] == min(expected, key=dist.__getitem__)
+    assert [dist[c] for c in expected].count(dist[prof.entrance]) == 1
+    for u, v in zip(order, order[1:] + order[:1]):  # the last entry closes the round
+        assert v in g.adj[u]
 
 
 def line(n):
@@ -244,6 +282,29 @@ class TestFindCycle:
         g = from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)])
         with pytest.raises(MultipleCycles):
             find_cycle(g)
+
+    def test_order_starts_at_the_entrance(self):
+        g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])
+        assert find_cycle(g).order[0] == path_profiles(g, 0).entrance == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(at_most_one_cycle(max_n=9), st.data())
+    def test_matches_brute_cycle_edges(self, g, data):
+        """Against the non-bridge edges, on random graphs and on closed views along an episode."""
+        s = data.draw(st.integers(0, g.n - 1))
+        check_cycle(g, s)
+        visits = execute(policy_from_id("dfs"), g, random.Random(data.draw(st.integers(0, 999))))
+        for k in range(1, g.n + 1):
+            view = closed_subgraph(g, visits.sequence[:k])
+            check_cycle(view, g.source)
+        if g.edge_count == g.n:
+            chords = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges]
+            if chords:
+                two = from_edges(g.n, [*g.edges, data.draw(st.sampled_from(chords))])
+                with pytest.raises(MultipleCycles):
+                    path_profiles(two, s)
+                with pytest.raises(MultipleCycles):
+                    find_cycle(two)
 
 
 class TestReachabilityClasses:

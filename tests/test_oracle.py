@@ -137,23 +137,28 @@ class TestEpisodeDistribution:
 
 class TestBestResponse:
     def test_step_benefit_likes_the_line(self):
-        g, h, payoff = best_response_hider(5, BenefitFunction.step(4, 5), DFSPolicy())
+        (g, h, payoff), = best_response_hider(5, [BenefitFunction.step(4, 5)], DFSPolicy())
         assert payoff == 4
         assert bfs_distances(g, 0)[h] == 4  # the full line, hidden at its end
 
     def test_constant_benefit_same_payoff(self):
-        _, _, payoff = best_response_hider(5, BenefitFunction.constant(5), DFSPolicy())
+        (_, _, payoff), = best_response_hider(5, [BenefitFunction.constant(5)], DFSPolicy())
         assert payoff == 4
 
     def test_step_two(self):
-        g, h, payoff = best_response_hider(5, BenefitFunction.step(2, 5), DFSPolicy())
+        (g, h, payoff), = best_response_hider(5, [BenefitFunction.step(2, 5)], DFSPolicy())
         assert payoff == 3
         assert bfs_distances(g, 0)[h] == 2
 
-    def test_guard(self):
-        with pytest.raises(TooLarge):
-            best_response_hider(9, BenefitFunction.constant(9), DFSPolicy())
+    def test_several_benefits_rank_as_one_each(self):
+        benefits = [BenefitFunction.step(cut, 6) for cut in range(1, 6)]
+        benefits.append(BenefitFunction.geometric("1/2", 6))
+        together = best_response_hider(6, benefits, DFSPolicy())
+        assert together == [best_response_hider(6, [b], DFSPolicy())[0] for b in benefits]
 
+    def test_guard(self):
+        with pytest.raises(TooLarge, match="tree enumeration capped at n = 9"):
+            best_response_hider(10, [BenefitFunction.constant(10)], DFSPolicy())
 
 class TestBattery:
     def test_palm_6_2(self):
