@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import Iterable
 
 from .errors import NotATree, PreconditionViolated
 from .graphs import Graph, PathProfile, cached_profiles, path_profiles
@@ -92,11 +93,12 @@ class PairwiseCaseResult:
     case_label: str
 
 
-def tree_dfs_expected_position(g: Graph, s: int, t: int) -> Fraction:
-    """Expected position of ``t`` under randomized DFS on a tree: (n + dist - m) / 2.
+def tree_dfs_expected_positions(g: Graph, s: int, targets: Iterable[int] | None = None) -> list[Fraction]:
+    """Expected position of each of ``targets`` (every node by default) under
+    randomized DFS on a tree: (n + dist - m) / 2.
 
-    ``m`` counts the nodes whose path from ``s`` passes through ``t``
-    (including ``t`` itself): ``t``'s subtree in the BFS tree from ``s``.
+    ``m`` counts the nodes whose path from ``s`` passes through the target
+    (including the target itself): its subtree in the BFS tree from ``s``.
     """
     if not g.is_tree():
         raise NotATree(f"graph has {g.edge_count} edges over {g.n} nodes")
@@ -104,11 +106,17 @@ def tree_dfs_expected_position(g: Graph, s: int, t: int) -> Fraction:
     # a profile for each of its 1,440 trees up to n = 6 added 2.8 MB
     # (tracemalloc), over a tenth of the 26 MB peak of the exact benchmark
     prof = path_profiles(g, s)
-    subtree = {t}
-    for v, u in prof.parent.items():  # BFS order: a parent comes before its children
-        if u in subtree:
-            subtree.add(v)
-    return Fraction(g.n + prof.distance(t) - len(subtree), 2)
+    size = [1] * g.n
+    for v, u in reversed(prof.parent.items()):  # BFS order reversed: children before parents
+        size[u] += size[v]
+    if targets is None:
+        targets = range(g.n)
+    return [Fraction(g.n + prof.distance(t) - size[t], 2) for t in targets]
+
+
+def tree_dfs_expected_position(g: Graph, s: int, t: int) -> Fraction:
+    """:func:`tree_dfs_expected_positions` of the one target ``t``."""
+    return tree_dfs_expected_positions(g, s, (t,))[0]
 
 
 def palm_expected_position(n: int, d: int) -> Fraction:

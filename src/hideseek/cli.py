@@ -83,6 +83,9 @@ def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str
     # built in every mode, so that the closed forms refuse the bounds the policies refuse
     policy = policy_from_id(strategy, d=d, pointwise=pointwise)
     if mode == "closed":
+        if strategy == "sigma_star" and pointwise:
+            raise ValueError("the closed forms cover the upfront sigma_star mixture only, "
+                             "not the pointwise one")
         if strategy == "dfs" and g.is_tree():
             value = tree_dfs_expected_position(g, g.source, target)
         else:

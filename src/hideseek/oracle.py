@@ -10,22 +10,20 @@ which turns the tree into a DAG; the two modes are required to agree and that
 equality is part of the test suite.  Single-target quantities fold during the
 expansion and stop at their targets; whole tables store the DAG and push
 probability mass through it from the root.  Upfront mixtures are always
-enumerated componentwise and recombined by their weights.  Only
-:func:`reachable_observations` walks on its own, lazily, state before children.
+enumerated componentwise and recombined by their weights.  No table is kept
+once its question is answered.
 """
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
 from .hider import BenefitFunction, HiderStrategy, all_trees
-from .seeker import MixturePolicy, SearchState, SeekerPolicy, battery_policies
+from .seeker import Distribution, MixturePolicy, SearchState, SeekerPolicy, battery_policies
 
 DEFAULT_NODE_LIMIT = 12
-TABLE_CACHE_ENTRIES = 1 << 16  # position tables kept; the least recently used goes first
 
 
 def _guard(g: Graph, node_limit: int | None) -> None:
@@ -209,20 +207,11 @@ def episode_distribution(
     return componentwise(policy, sequences)
 
 
-_TABLE_CACHE: OrderedDict[tuple[Graph, str], dict[int, Fraction]] = OrderedDict()
-
-
 def cached_position_table(policy: SeekerPolicy, g: Graph) -> dict[int, Fraction]:
-    """:func:`exact_position_table` without the guard, kept per (graph, policy identifier)."""
-    key = (g, policy.identifier)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        _TABLE_CACHE.move_to_end(key)
-        return hit
-    hit = _TABLE_CACHE[key] = exact_position_table(policy, g, node_limit=None, memoized=True)
-    while len(_TABLE_CACHE) > TABLE_CACHE_ENTRIES:
-        _TABLE_CACHE.popitem(last=False)
-    return hit
+    """:func:`exact_position_table` without the guard."""
+    # nothing in the package calls this; it stays only because
+    # benchmarks/tracer.py looks it up by name (ROADMAP item 4 deletes it)
+    return exact_position_table(policy, g, node_limit=None)
 
 
 def best_response_hider(
@@ -238,7 +227,7 @@ def best_response_hider(
     """
     best: list = [None] * len(benefits)
     for g in all_trees(n):
-        table = cached_position_table(policy, g)
+        table = exact_position_table(policy, g, node_limit=None)
         dist = bfs_distances(g, g.source)
         for h in range(n):
             for i, benefit in enumerate(benefits):
@@ -262,30 +251,34 @@ def adversarial_policy_battery(
     *,
     node_limit: int | None = 10,
 ) -> list[tuple[str, Fraction]]:
-    """Expected positions for the whole policy battery against a hiding strategy."""
+    """Expected positions for the whole policy battery against a hiding strategy.
+
+    An upfront mixture is read off the values of its components, each
+    computed once however many battery entries need it."""
     _guard(g, node_limit)
     if d is None:
         dist = bfs_distances(g, g.source)
         d = max(dist[h] for _, h, _ in strategy.atoms)
-    return [(policy.identifier, hider_value(policy, strategy, node_limit=node_limit))
-            for policy in battery_policies(max(d, 1))]
+    values: dict[str, Fraction] = {}
+
+    def value(policy: SeekerPolicy) -> Fraction:
+        key = policy.identifier
+        if key not in values:
+            values[key] = hider_value(policy, strategy, node_limit=node_limit)
+        return values[key]
+
+    return [(policy.identifier, componentwise(policy, value)) for policy in battery_policies(max(d, 1))]
 
 
-def reachable_observations(policy: SeekerPolicy, g: Graph) -> Iterator[SearchState]:
-    """Every state reachable with positive probability under ``policy``, sequence-keyed and each
-    before the states it leads to, as a copy of its own that stays valid as the walk moves on."""
-    state = SearchState(g)
+def reachable_observations(policy: SeekerPolicy, g: Graph,
+                           look: Callable[[SearchState, Distribution], object]) -> None:
+    """Call ``look(state, moves)`` at every state with a move left that is reachable
+    with positive probability under ``policy``, sequence-keyed and children first;
+    ``moves`` is the distribution the walk drew there and ``state`` is valid only
+    during the call."""
 
-    def go() -> Iterator[SearchState]:
-        if len(state.visited) == g.n:
-            return
-        yield state.copy()
-        for w, _ in policy.distribution(state):
-            state.push(w)
-            yield from go()
-            state.pop()
+    def fold(state, edges):
+        if edges:
+            look(state, tuple((w, p) for w, p, _ in edges))
 
-    try:
-        yield from go()
-    finally:
-        del go  # go's closure holds go itself: break that cycle so the walk's state is freed now
+    _expand(policy, g, False, fold)

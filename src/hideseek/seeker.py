@@ -120,22 +120,6 @@ class SearchState:
         self.frontier.add(w)
         return w
 
-    def copy(self) -> "SearchState":
-        """An independent state at the same point, without replaying the visits."""
-        twin = SearchState.__new__(SearchState)
-        twin.g = self.g
-        twin.visited = self.visited.copy()
-        twin.visited_set = self.visited_set.copy()
-        twin.frontier = self.frontier.copy()
-        twin.active_stack = self.active_stack.copy()
-        twin._open = self._open.copy()
-        twin._seen = self._seen.copy()
-        twin._depth = self._depth.copy()
-        twin._rank = self._rank.copy()
-        twin._inner = self._inner
-        twin._view_edges = self._view_edges
-        return twin
-
     def unvisited_neighbors(self, z: int) -> tuple[int, ...]:
         visited_set = self.visited_set
         return tuple([w for w in self.g.adj[z] if w not in visited_set])
@@ -423,6 +407,9 @@ class Episode:
 
 
 def draw(dist: Distribution, rng: random.Random) -> int:
+    # a running float sum, not cumulative_thresholds: the two differ in the
+    # last bit (thirds sum to 0.6666666666666666, the threshold of 2/3 is
+    # 0.6666666666666667), so swapping them would change seeded rows
     r = rng.random()
     acc = 0.0
     for v, p in dist:

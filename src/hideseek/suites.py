@@ -15,7 +15,7 @@ from .analysis import (
     hider_payoff,
     mixture_capture_bound,
     palm_expected_position,
-    tree_dfs_expected_position,
+    tree_dfs_expected_positions,
 )
 from .corpus import default_corpus
 from .graphs import bfs_distances
@@ -32,9 +32,9 @@ from .hider import (
 from .oracle import (
     adversarial_policy_battery,
     best_response_hider,
-    cached_position_table,
     componentwise,
     exact_expected_pos,
+    exact_position_table,
     exact_visit_table,
     hider_value,
     reachable_observations,
@@ -90,9 +90,8 @@ def run_lemma1(max_n: int = 7) -> SuiteReport:
         trees = 0
         bad = None
         for g in all_trees(n):
-            table = cached_position_table(policy, g)
-            for t in range(n):
-                want = tree_dfs_expected_position(g, 0, t)
+            table = exact_position_table(policy, g, node_limit=None)
+            for t, want in enumerate(tree_dfs_expected_positions(g, 0)):
                 if table[t] != want:
                     bad = f"tree {sorted(g.edges)} target {t}: oracle {table[t]} formula {want}"
                     break
@@ -290,24 +289,31 @@ def run_equilibrium(
 
 
 def run_equivalence(max_n: int = 7) -> SuiteReport:
-    """On trees, bound-n DFS and adjusted DFS match plain DFS observation-wise."""
+    """On trees, bound-n DFS and adjusted DFS match plain DFS observation-wise.
+
+    The walk looks at a state's children before the state, so a failing tree
+    names the first differing state in that order, and no later tree is walked.
+    """
     report = SuiteReport("equivalence")
     dfs = DFSPolicy()
+    adjusted = AdjustedDFSPolicy()
     for n in tree_sizes(range(2, max_n + 1)):
-        bounded = BoundedDFSPolicy(n)
-        adjusted = AdjustedDFSPolicy()
+        others = ((f"dfs_{n}", BoundedDFSPolicy(n)), ("adfs", adjusted))
         observations = 0
         bad = None
+
+        def look(state, moves):
+            nonlocal observations, bad
+            if bad:
+                return
+            for name, policy in others:
+                if policy.distribution(state) != moves:
+                    bad = f"{name} differs at {tuple(state.visited)} on {sorted(g.edges)}"
+                    return
+            observations += 1
+
         for g in all_trees(n):
-            for obs in reachable_observations(dfs, g):
-                base = dfs.distribution(obs)
-                if bounded.distribution(obs) != base:
-                    bad = f"dfs_{n} differs at {tuple(obs.visited)} on {sorted(g.edges)}"
-                    break
-                if adjusted.distribution(obs) != base:
-                    bad = f"adfs differs at {tuple(obs.visited)} on {sorted(g.edges)}"
-                    break
-                observations += 1
+            reachable_observations(dfs, g, look)
             if bad:
                 break
         report.add(

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from hideseek import __version__, suites
 from hideseek.cli import MODES, SPEC_FIELDS, main
+from hideseek.corpus import default_corpus
+from hideseek.graphs import graph_to_json
 from hideseek.hider import TREE_ENUM_LIMIT
 
 
@@ -57,6 +59,18 @@ class TestGen:
         manifest = json.loads((tmp_path / "palm.json.manifest.json").read_text())
         assert manifest["command"] == "gen palm"
         assert manifest["params"] == {"n": 6, "d": 2}
+
+
+POINTWISE_CLOSED = "error: the closed forms cover the upfront sigma_star mixture only, not the pointwise one\n"
+
+
+def _stalk(tmp_path) -> Path:
+    """The corpus instance where the pointwise mixture's exact value (1481/192
+    at target 10, d = 5) differs from the upfront mixture's closed form (23/3)."""
+    graph = tmp_path / "stalk.json"
+    instance = next(i for i in default_corpus() if i.name == "stalk_wide_d5")
+    graph.write_text(graph_to_json(instance.graph))
+    return graph
 
 
 class TestEval:
@@ -161,8 +175,32 @@ class TestEval:
         assert result.exit_code == 2
         assert "NodeOutOfRange" in result.output
 
+    def test_pointwise_closed_forms_refused(self, tmp_path):
+        graph = _stalk(tmp_path)
+        runner = CliRunner()
+        args = ["eval", "--graph", str(graph), "--strategy", "sigma_star", "--target", "10", "--d", "5"]
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, [*args, "--mode", "closed", "--pointwise"])
+            assert result.exit_code == 2
+            assert result.stderr == POINTWISE_CLOSED
+            closed = invoke(runner, *args, "--mode", "closed")
+            assert closed.output.splitlines()[1] == "stalk,sigma_star,10,closed,23/3"
+            exact = invoke(runner, *args, "--mode", "exact", "--pointwise")
+            assert exact.output.splitlines()[1] == "stalk,sigma_star,10,exact,1481/192"
+
 
 class TestBatch:
+    def test_pointwise_closed_forms_refused(self, tmp_path):
+        graph = _stalk(tmp_path)
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps([{"graph": str(graph), "strategy": "sigma_star", "target": 10, "d": 5,
+                                     "mode": "closed", "pointwise": True}]))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["batch", "--spec", str(spec)])
+        assert result.exit_code == 2
+        assert result.stderr == POINTWISE_CLOSED.replace("error: ", "error: bad batch spec: ")
+
     def test_rows_sorted(self, tmp_path):
         runner = CliRunner()
         ex1 = tmp_path / "ex1.json"
@@ -355,6 +393,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("args,golden", [
     (["tables"], "verify_tables.txt"),
+    (["lemma1", "--max-n", "6"], "verify_lemma1_max_n_6.txt"),
     (["prop1"], "verify_prop1.txt"),
     (["lemma2"], "verify_lemma2.txt"),
     (["equivalence", "--max-n", "6"], "verify_equivalence_max_n_6.txt"),

@@ -1,17 +1,18 @@
 import gc
 import itertools
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hideseek import oracle
+from hideseek import suites
 from hideseek.errors import NodeOutOfRange, TooLarge
 from hideseek.graphs import bfs_distances, from_edges
 from hideseek.hider import (
     BenefitFunction,
+    HiderStrategy,
+    all_trees,
     example1_graph,
     palm_crown_mixed,
     palm_tree,
@@ -174,6 +175,15 @@ class TestBattery:
         results = dict(adversarial_policy_battery(palm_tree(8, 3), palm_crown_mixed(8, 3), 3))
         assert results[sigma_star(3).identifier] == 5
 
+    def test_mixture_read_off_components_on_a_unicyclic_graph(self):
+        """The battery's sigma_star value, mixed from its components' values,
+        is the mixture's own value where the components disagree."""
+        g, t = example1_graph(8, 2)
+        strategy = HiderStrategy(((g, t, Fraction(1, 2)), (g, 6, Fraction(1, 4)), (g, 7, Fraction(1, 4))))
+        results = dict(adversarial_policy_battery(g, strategy, 2))
+        assert len({results[p.identifier] for p in battery_policies(2)[:3]}) > 1
+        assert results[sigma_star(2).identifier] == hider_value(sigma_star(2), strategy)
+
 
 def test_tree_oracle_matches_closed_form_exhaustively():
     # every labeled tree on 6 nodes, every target
@@ -201,44 +211,43 @@ class TestNodeRange:
             exact_visit_prob(DFSPolicy(), g, 1, -1)
 
 
-def test_position_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(oracle, "TABLE_CACHE_ENTRIES", 2)
-    monkeypatch.setattr(oracle, "_TABLE_CACHE", OrderedDict())
-    a, b, c = palm_tree(4, 1), palm_tree(4, 2), palm_tree(4, 3)
-    policy = DFSPolicy()
-    first = oracle.cached_position_table(policy, a)
-    oracle.cached_position_table(policy, b)
-    assert oracle.cached_position_table(policy, a) is first  # a is now the most recent
-    oracle.cached_position_table(policy, c)
-    assert list(oracle._TABLE_CACHE) == [(a, "dfs"), (c, "dfs")]
-    assert oracle.cached_position_table(policy, b) == exact_position_table(policy, b)
-    assert len(oracle._TABLE_CACHE) == 2 and (a, "dfs") not in oracle._TABLE_CACHE
-
-
 def test_reachable_observations_are_every_unfinished_state():
+    """``look`` sees every unfinished prefix once, each with the frontier and
+    the moves that a replay of the prefix gives."""
     g, _ = example1_graph(7, 2)
-    states = list(reachable_observations(DFSPolicy(), g))
-    prefixes = {seq[:k] for seq in episode_distribution(DFSPolicy(), g) for k in range(1, g.n)}
-    assert sorted(tuple(s.visited) for s in states) == sorted(prefixes)
-    for s in states:  # each copy stands alone, as if its visits were replayed
-        assert s.frontier == SearchState(g, s.visited).frontier
+    policy = DFSPolicy()
+    seen = []
+
+    def look(state, moves):
+        replay = SearchState(g, state.visited)
+        assert state.frontier == replay.frontier
+        assert moves == policy.distribution(replay)
+        seen.append(tuple(state.visited))
+
+    reachable_observations(policy, g, look)
+    prefixes = {seq[:k] for seq in episode_distribution(policy, g) for k in range(1, g.n)}
+    assert sorted(seen) == sorted(prefixes)
 
 
-def test_reachable_observations_are_lazy_and_each_before_its_children():
-    g, _ = example1_graph(7, 2)
-    calls = []
+def test_equivalence_names_the_first_diverging_state(monkeypatch):
+    """A policy that leaves plain DFS fails its tree's check, and no later tree is walked."""
+    walked = []
 
-    class Counting(DFSPolicy):
-        def distribution(self, state):
-            calls.append(tuple(state.visited))
-            return super().distribution(state)
+    def counting_trees(n):
+        for g in all_trees(n):
+            walked.append(g)
+            yield g
 
-    walk = reachable_observations(Counting(), g)
-    assert list(next(walk).visited) == [g.source] and calls == []
-    seen = {(g.source,)}
-    for s in walk:
-        assert tuple(s.visited[:-1]) in seen
-        seen.add(tuple(s.visited))
+    def lowest_first(self, state):
+        return ((min(state.frontier), Fraction(1)),)
+
+    monkeypatch.setattr(suites, "all_trees", counting_trees)
+    monkeypatch.setattr(AdjustedDFSPolicy, "distribution", lowest_first)
+    report = suites.run_equivalence(max_n=3)
+    assert [c.check_id for c in report.failures()] == ["trees n=3"]
+    detail = report.failures()[0].detail
+    assert detail.startswith("adfs differs at ") and detail.endswith(f" on {sorted(walked[-1].edges)}")
+    assert len(walked) < 1 + 3  # one tree on 2 nodes, and not every tree on 3
 
 
 @pytest.mark.parametrize("walk", [
@@ -246,7 +255,7 @@ def test_reachable_observations_are_lazy_and_each_before_its_children():
     lambda g: exact_visit_prob(DFSPolicy(), g, 3, 7, memoized=True),
     lambda g: exact_position_table(DFSPolicy(), g),
     lambda g: exact_visit_table(AdjustedDFSPolicy(), g),
-    lambda g: list(reachable_observations(DFSPolicy(), g)),
+    lambda g: reachable_observations(DFSPolicy(), g, lambda state, moves: None),
 ], ids=["expected_pos", "visit_prob", "position_table", "visit_table", "observations"])
 def test_walks_leave_no_reference_cycle(walk):
     """A walk's memo, stored DAG or search state is freed on return, not left to the cycle collector."""

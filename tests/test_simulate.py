@@ -19,6 +19,7 @@ from hideseek.seeker import (
     DFSPolicy,
     battery_policies,
     cumulative_thresholds,
+    draw,
     execute,
     pick_by_thresholds,
     sample_position,
@@ -214,6 +215,19 @@ def test_float_thresholds_pick_like_exact_sums(raw, draws):
         boundary += [near, math.nextafter(near, 0.0), math.nextafter(near, 1.0)]
     for r in draws + [b for b in boundary if 0 <= b < 1]:
         assert pick_by_thresholds(range(len(weights)), thresholds, r) == _exact_pick(weights, r), r
+
+
+def test_draw_keeps_its_running_float_sum():
+    """``draw`` sums the floats of the weights, which is not the thresholds'
+    exact rule: at this draw over uniform thirds the two pick different
+    nodes, so moving ``draw`` onto the thresholds would change seeded rows."""
+    class Stub:
+        def random(self):
+            return 0.6666666666666666
+
+    thirds = tuple((v, Fraction(1, 3)) for v in range(3))
+    assert draw(thirds, Stub()) == 2
+    assert pick_by_thresholds((0, 1, 2), cumulative_thresholds([Fraction(1, 3)] * 3), Stub().random()) == 1
 
 
 class TestWorkers:

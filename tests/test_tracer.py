@@ -15,6 +15,7 @@ SCRIPT = """
 import json, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import hideseek.analysis as analysis
+from hideseek import suites
 from hideseek.hider import example1_graph
 from tracer import Recorder, instrument
 
@@ -22,6 +23,8 @@ rec = Recorder()
 instrument(rec)
 g, t = example1_graph(10, 3)
 analysis.expected_position_from_tables("dfs", g, 0, t)
+for report in (suites.run_equivalence(max_n=3), suites.run_lemma1(max_n=4), suites.run_lemma2(max_n=3)):
+    assert report.passed, report.lines()
 print(json.dumps(sorted(set(rec.name))))
 """
 
@@ -36,4 +39,6 @@ def test_instrument_binds_and_records_a_closed_form():
         "analysis.expected_position_from_tables",
         "analysis.pairwise_probability",
         "graphs.path_profiles",
+        "oracle.reachable_observations",
+        "oracle.exact_position_table",
     } <= names
