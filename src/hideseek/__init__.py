@@ -76,4 +76,4 @@ from .oracle import (
     exact_visit_table,
     hider_value,
 )
-from .simulate import MonteCarloResult, monte_carlo, run_episode
+from .simulate import MonteCarloResult, monte_carlo

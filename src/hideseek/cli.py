@@ -1,5 +1,9 @@
 """Experiment driver: generate instances, evaluate strategies, run verification suites.
 
+``eval`` runs as a ``batch`` of one spec, so both read ``SPEC_DEFAULTS``, take
+the strategies in ``analysis.STRATEGIES`` and go through one evaluation path.
+``verify`` passes a suite only the options the user gave and that the suite
+takes by ``SUITE_OPTIONS``; the suite runner's signature holds their defaults.
 Exit codes: 0 success, 1 verification failure, 2 bad input.
 """
 from __future__ import annotations
@@ -11,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import expected_position_from_tables, tree_dfs_expected_position
+from .analysis import STRATEGIES, expected_position_from_tables, tree_dfs_expected_position
 from .errors import HideSeekError
 from .graphs import Graph, check_node, graph_from_json, graph_to_json
 from .hider import HiderStrategy, all_trees, example1_graph, example2_graph, palm_tree
@@ -27,18 +31,17 @@ GENERATORS = {
 }
 
 
-def _write_manifest(out_path: Path | None, command: str, params: dict) -> None:
-    manifest = {
-        "command": command,
-        "params": {k: v for k, v in params.items() if v is not None},
-        "version": __version__,
-    }
-    target = (
-        out_path.with_suffix(out_path.suffix + ".manifest.json")
-        if out_path is not None
-        else Path("run-manifest.json")
-    )
-    target.write_text(json.dumps(manifest, sort_keys=True) + "\n")
+def _emit(out: Path | None, payload: str, command: str, params: dict) -> None:
+    """Write ``payload`` to ``out`` (stdout when ``None``), then the run manifest
+    beside it (``run-manifest.json`` for stdout), leaving out ``None`` params."""
+    if out is None:
+        click.echo(payload, nl=False)
+    else:
+        out.write_text(payload)
+    manifest = {"command": command, "params": {k: v for k, v in params.items() if v is not None},
+                "version": __version__}
+    path = Path("run-manifest.json") if out is None else out.with_suffix(out.suffix + ".manifest.json")
+    path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def _fail_input(message: str):
@@ -70,20 +73,18 @@ def gen(kind, n, d, out):
             payload = graph_to_json(g, target=target) + "\n"
     except HideSeekError as exc:
         _fail_input(f"{type(exc).__name__}: {exc}")
-    if out is None:
-        click.echo(payload, nl=False)
-    else:
-        out.write_text(payload)
-    _write_manifest(out, f"gen {kind}", {"n": n, "d": d})
+    _emit(out, payload, f"gen {kind}", {"n": n, "d": d})
 
 
-def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str,
-                  d: int | None, trials: int, seed: int, pointwise: bool) -> str:
+def _evaluate_row(g: Graph, spec: dict) -> str:
+    """The CSV row of one eval spec, its defaults filled in and its target resolved."""
+    strategy, target, mode, d = spec["strategy"], spec["target"], spec["mode"], spec["d"]
+    instance = spec.get("instance", Path(spec["graph"]).stem)
     check_node(g.n, target, "target")
     # built in every mode, so that the closed forms refuse the bounds the policies refuse
-    policy = policy_from_id(strategy, d=d, pointwise=pointwise)
+    policy = policy_from_id(strategy, d=d, pointwise=spec["pointwise"])
     if mode == "closed":
-        if strategy == "sigma_star" and pointwise:
+        if strategy == "sigma_star" and spec["pointwise"]:
             raise ValueError("the closed forms cover the upfront sigma_star mixture only, "
                              "not the pointwise one")
         if strategy == "dfs" and g.is_tree():
@@ -94,6 +95,7 @@ def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str
     if mode == "exact":
         value = exact_expected_pos(policy, g, target, memoized=True)
         return f"{instance},{strategy},{target},exact,{value}"
+    trials, seed = spec["trials"], spec["seed"]
     res = monte_carlo(policy, HiderStrategy.pure(g, target), trials, seed)
     exact = ""
     if g.n <= DEFAULT_NODE_LIMIT:
@@ -107,9 +109,13 @@ def _evaluate_row(g: Graph, instance: str, strategy: str, target: int, mode: str
 MC_HEADER = "instance,strategy,trials,seed,mean,stderr,ci_lo,ci_hi,exact"
 VALUE_HEADER = "instance,strategy,target,mode,value"
 MODES = ("exact", "mc", "closed")
-# the type of each batch spec field; "d" and "target" may also be null
+# the type of each eval spec field; "d" and "target" may also be null
 SPEC_FIELDS = {"graph": str, "strategy": str, "instance": str, "mode": str, "target": int,
                "d": int, "trials": int, "seed": int, "pointwise": bool}
+# the value of each optional field a spec leaves out (or, for "target", gives as null:
+# the graph file's target then stands in); "instance" defaults to the graph file's stem
+SPEC_DEFAULTS = {"target": None, "mode": "exact", "d": None, "trials": 10000, "seed": 0,
+                 "pointwise": False}
 
 
 def _spec_problem(specs) -> str | None:
@@ -126,45 +132,57 @@ def _spec_problem(specs) -> str | None:
             want = SPEC_FIELDS.get(key)
             if want and type(value) is not want and not (value is None and key in ("d", "target")):
                 return f"item {i}: {key!r} is not of type {want.__name__}"
-        if item.get("mode", "exact") not in MODES:
-            return f"item {i}: mode must be one of {', '.join(MODES)}"
+        for key, allowed in (("strategy", STRATEGIES), ("mode", MODES)):
+            if {**SPEC_DEFAULTS, **item}[key] not in allowed:
+                return f"item {i}: {key} must be one of {', '.join(allowed)}"
     return None
 
 
-@main.command("eval")
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              required=True)
-@click.option("--strategy", type=click.Choice(["dfs", "dfs_d", "adfs", "sigma_star"]), required=True)
-@click.option("--target", type=int, default=None, help="Hiding node (defaults to the file's target).")
-@click.option("--mode", type=click.Choice(MODES), default="exact")
-@click.option("--d", type=int, default=None, help="Distance bound for dfs_d / sigma_star.")
-@click.option("--trials", type=int, default=10000)
-@click.option("--seed", type=int, default=0)
-@click.option("--pointwise", is_flag=True, help="Per-step mixture variant of sigma_star.")
-@click.option("--out", type=click.Path(path_type=Path), default=None)
-def eval_cmd(graph_path, strategy, target, mode, d, trials, seed, pointwise, out):
-    """Evaluate a strategy's expected capture position on one instance."""
+def _evaluate(specs, prefix: str) -> tuple[str, list[dict]]:
+    """The CSV of a list of eval specs, value rows then Monte Carlo rows, each
+    section sorted, and the specs as run: defaults filled in, targets resolved.
+
+    Bad input exits 2; ``prefix`` heads the message of a malformed spec or of a
+    value the engines refuse.
+    """
+    rows: dict[str, list[str]] = {VALUE_HEADER: [], MC_HEADER: []}
+    ran = []
     try:
-        g, file_target = graph_from_json(graph_path.read_text())
-        if target is None:
-            target = file_target
-        if target is None:
-            _fail_input("no --target given and the graph file names none")
-        header = MC_HEADER if mode == "mc" else VALUE_HEADER
-        row = _evaluate_row(g, graph_path.stem, strategy, target, mode, d, trials, seed, pointwise)
+        problem = _spec_problem(specs)
+        if problem:
+            raise ValueError(problem)
+        for spec in specs:
+            spec = {**SPEC_DEFAULTS, **spec}
+            g, file_target = graph_from_json(Path(spec["graph"]).read_text())
+            if spec["target"] is None:
+                spec["target"] = file_target
+            if spec["target"] is None:
+                _fail_input("no target given and the graph file names none")
+            rows[MC_HEADER if spec["mode"] == "mc" else VALUE_HEADER].append(_evaluate_row(g, spec))
+            ran.append(spec)
     except HideSeekError as exc:
         _fail_input(f"{type(exc).__name__}: {exc}")
-    except ValueError as exc:
-        _fail_input(str(exc))
-    payload = header + "\n" + row + "\n"
-    if out is None:
-        click.echo(payload, nl=False)
-    else:
-        out.write_text(payload)
-    _write_manifest(out, "eval", {
-        "graph": str(graph_path), "strategy": strategy, "target": target,
-        "mode": mode, "d": d, "trials": trials, "seed": seed, "pointwise": pointwise or None,
-    })
+    except (OSError, ValueError) as exc:
+        _fail_input(f"{prefix}{exc}")
+    sections = [header + "\n" + "\n".join(sorted(lines)) for header, lines in rows.items() if lines]
+    return "\n".join(sections) + "\n", ran
+
+
+@main.command("eval")
+@click.option("--graph", type=click.Path(exists=True, dir_okay=False, path_type=Path), required=True)
+@click.option("--strategy", type=click.Choice(STRATEGIES), required=True)
+@click.option("--target", type=int, help="Hiding node (defaults to the file's target).")
+@click.option("--mode", type=click.Choice(MODES))
+@click.option("--d", type=int, help="Distance bound for dfs_d / sigma_star.")
+@click.option("--trials", type=int)
+@click.option("--seed", type=int)
+@click.option("--pointwise", is_flag=True, help="Per-step mixture variant of sigma_star.")
+@click.option("--out", type=click.Path(path_type=Path), default=None)
+def eval_cmd(out, **options):
+    """Evaluate a strategy's expected capture position on one instance."""
+    options["graph"] = str(options["graph"])
+    payload, (spec,) = _evaluate([{k: v for k, v in options.items() if v is not None}], "")
+    _emit(out, payload, "eval", {**spec, "pointwise": spec["pointwise"] or None})
 
 
 @main.command()
@@ -176,86 +194,50 @@ def batch(spec_path, out):
     """Run a batch of evaluations from a config file; rows are sorted for stable output."""
     try:
         specs = json.loads(spec_path.read_text())
-        problem = _spec_problem(specs)
-        if problem:
-            _fail_input(f"bad batch spec: {problem}")
-        value_rows: list[str] = []
-        mc_rows: list[str] = []
-        for item in specs:
-            g, file_target = graph_from_json(Path(item["graph"]).read_text())
-            target = item.get("target", file_target)
-            if target is None:
-                _fail_input("no target given and the graph file names none")
-            mode = item.get("mode", "exact")
-            row = _evaluate_row(
-                g,
-                item.get("instance", Path(item["graph"]).stem),
-                item["strategy"],
-                target,
-                mode,
-                item.get("d"),
-                item.get("trials", 10000),
-                item.get("seed", 0),
-                item.get("pointwise", False),
-            )
-            (mc_rows if mode == "mc" else value_rows).append(row)
-    except HideSeekError as exc:
-        _fail_input(f"{type(exc).__name__}: {exc}")
     except (OSError, ValueError) as exc:
         _fail_input(f"bad batch spec: {exc}")
-    sections = []
-    if value_rows:
-        sections.append(VALUE_HEADER + "\n" + "\n".join(sorted(value_rows)))
-    if mc_rows:
-        sections.append(MC_HEADER + "\n" + "\n".join(sorted(mc_rows)))
-    payload = "\n".join(sections) + "\n"
-    if out is None:
-        click.echo(payload, nl=False)
-    else:
-        out.write_text(payload)
-    _write_manifest(out, "batch", {"spec": str(spec_path)})
+    _emit(out, _evaluate(specs, "bad batch spec: ")[0], "batch", {"spec": str(spec_path)})
+
+
+# the keywords each suite's runner takes from the command line; the runner's
+# signature holds their defaults, and an option a suite does not take is refused
+SUITE_OPTIONS = {
+    "lemma1": ("max_n",),
+    "lemma2": ("max_n",),
+    "tables": ("corpus",),
+    "examples": ("mc_trials", "mc_seed"),
+    "prop1": (),
+    "equilibrium": ("ns", "benefit_specs"),
+    "equivalence": ("max_n",),
+}
 
 
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
-@click.option("--max-n", type=int, default=None, help="Cap for tree-enumeration suites.")
-@click.option("--corpus", type=click.Choice(["default"]), default="default",
-              help="Instance corpus for the tables suite.")
-@click.option("--n", "sizes", type=int, multiple=True,
+@click.option("--max-n", type=int, help="Cap for tree-enumeration suites.")
+@click.option("--corpus", type=click.Choice(["default"]), help="Instance corpus for the tables suite.")
+@click.option("--n", "ns", type=int, multiple=True,
               help="Node counts for the equilibrium suite (repeatable).")
-@click.option("--benefit", "benefits", type=str, multiple=True,
+@click.option("--benefit", "benefit_specs", type=str, multiple=True,
               help="Benefit specs for the equilibrium suite, e.g. step:3, geometric:0.9.")
-@click.option("--trials", type=int, default=100000, help="Monte Carlo trials (examples suite).")
-@click.option("--seed", type=int, default=2024, help="Monte Carlo seed (examples suite).")
-def verify(suite, max_n, corpus, sizes, benefits, trials, seed):
+@click.option("--trials", "mc_trials", type=int, help="Monte Carlo trials (examples suite).")
+@click.option("--seed", "mc_seed", type=int, help="Monte Carlo seed (examples suite).")
+def verify(suite, **options):
     """Run a named verification suite; exits 1 on the first failing fact."""
-    runner = SUITES[suite]
-    kwargs = {}
-    if max_n is not None and suite in ("lemma1", "lemma2", "equivalence"):
-        kwargs["max_n"] = max_n
-    if suite == "tables":
-        kwargs["corpus"] = corpus
-    if suite == "equilibrium":
-        if sizes:
-            kwargs["ns"] = tuple(sizes)
-        if benefits:
-            kwargs["benefit_specs"] = tuple(benefits)
-    if suite == "examples":
-        kwargs["mc_trials"] = trials
-        kwargs["mc_seed"] = seed
+    flags = {p.name: p.opts[0] for p in verify.params}
+    given = {k: v for k, v in options.items() if v not in (None, ())}
+    refused = [flags[k] for k in given if k not in SUITE_OPTIONS[suite]]
+    if refused:
+        _fail_input(f"suite {suite} takes no {' or '.join(refused)}")
     try:
-        report = runner(**kwargs)
+        report = SUITES[suite](**given)
     except (HideSeekError, ValueError) as exc:
         _fail_input(str(exc))
     if not report.checks:
         _fail_input(f"suite {suite} ran no checks with these options")
-    for line in report.lines():
-        click.echo(line)
-    _write_manifest(None, f"verify {suite}", {
-        "max_n": max_n, "corpus": corpus if suite == "tables" else None,
-        "n": list(sizes) or None, "benefit": list(benefits) or None,
-        "trials": trials, "seed": seed,
-    })
+    # the manifest names each option after its flag: --max-n as max_n, --n as n
+    _emit(None, "".join(line + "\n" for line in report.lines()), f"verify {suite}",
+          {flags[k][2:].replace("-", "_"): v for k, v in given.items()})
     if not report.passed:
         first = report.failures()[0]
         click.echo(f"first failure: {first.check_id}: {first.detail}", err=True)

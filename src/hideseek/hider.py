@@ -50,17 +50,6 @@ class BenefitFunction:
         return BenefitFunction(tuple(Fraction(1) for _ in range(n)), kind="constant")
 
     @staticmethod
-    def from_json(doc: dict, n: int) -> "BenefitFunction":
-        kind = doc["kind"]
-        if kind == "step":
-            return BenefitFunction.step(int(doc["d"]), n)
-        if kind == "geometric":
-            return BenefitFunction.geometric(doc["rho"], n)
-        if kind == "table":
-            return BenefitFunction(tuple(Fraction(str(v)) for v in doc["values"]))
-        raise ValueError(f"unknown benefit kind {kind!r}")
-
-    @staticmethod
     def from_spec(spec: str, n: int) -> "BenefitFunction":
         """Parse compact CLI notation: ``step:3``, ``geometric:0.9``, ``constant``."""
         if spec == "constant":

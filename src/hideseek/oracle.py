@@ -4,14 +4,14 @@ Every quantity here is a fold over one expansion of a policy's decision tree
 (:func:`_expand`) with exact rational arithmetic, so results are suitable as
 an independent oracle for the closed forms in :mod:`hideseek.analysis`.
 
-Enumeration is sequence-keyed by default (no state is ever merged).  Passing
-``memoized=True`` merges the states with equal ``SeekerPolicy.state_key``,
-which turns the tree into a DAG; the two modes are required to agree and that
-equality is part of the test suite.  Single-target quantities fold during the
-expansion and stop at their targets; whole tables store the DAG and push
-probability mass through it from the root.  Upfront mixtures are always
-enumerated componentwise and recombined by their weights.  No table is kept
-once its question is answered.
+Single-target enumeration is sequence-keyed by default (no state is ever
+merged).  Passing ``memoized=True`` merges the states with equal
+``SeekerPolicy.state_key``, which turns the tree into a DAG; the two modes are
+required to agree and that equality is part of the test suite.  Single-target
+quantities fold during the expansion and stop at their targets; whole tables
+always merge, store the DAG and push probability mass through it from the
+root.  Upfront mixtures are always enumerated componentwise and recombined by
+their weights.  No table is kept once its question is answered.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
 from .hider import BenefitFunction, HiderStrategy, all_trees
-from .seeker import Distribution, MixturePolicy, SearchState, SeekerPolicy, battery_policies
+from .seeker import (Distribution, MixturePolicy, SearchState, SeekerPolicy, battery_policies,
+                     checked_distribution)
 
 DEFAULT_NODE_LIMIT = 12
 
@@ -54,7 +55,7 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
     what the fold gave for the state the move leads to, or ``None`` for a move
     onto a node in ``stop``, which is not expanded.  With ``memoized``, states
     with equal ``policy.state_key`` are expanded once and share that value.
-    Returns the root's value.
+    A move off the frontier raises ``PolicyViolation``.  Returns the root's value.
     """
     state = SearchState(g)
     memo: dict = {}
@@ -67,7 +68,7 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
                 return hit
         edges = []
         if len(state.visited) < g.n:
-            for w, p in policy.distribution(state):
+            for w, p in checked_distribution(policy, state):
                 if w in stop:
                     edges.append((w, p, None))
                 else:
@@ -156,14 +157,13 @@ def exact_position_table(
     g: Graph,
     *,
     node_limit: int | None = DEFAULT_NODE_LIMIT,
-    memoized: bool = True,
 ) -> dict[int, Fraction]:
     """Expected position of every node, from one forward pass over the decision DAG."""
     _guard(g, node_limit)
 
     def table(p):
         out = dict.fromkeys(range(g.n), Fraction(0))
-        for visited, w, q in _moves(p, g, memoized):
+        for visited, w, q in _moves(p, g, True):
             out[w] += q * len(visited)
         return out
 

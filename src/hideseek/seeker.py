@@ -365,7 +365,7 @@ def sigma_star(d: int, pointwise: bool = False) -> MixturePolicy:
 
 
 def policy_from_id(kind: str, d: int | None = None, pointwise: bool = False) -> SeekerPolicy:
-    """Resolve a CLI/config policy identifier."""
+    """The policy of a strategy id: ``dfs``, ``dfs_d``, ``adfs`` or ``sigma_star``."""
     if kind == "dfs":
         return DFSPolicy()
     if kind == "adfs":
@@ -374,12 +374,6 @@ def policy_from_id(kind: str, d: int | None = None, pointwise: bool = False) -> 
         return BoundedDFSPolicy(d)
     if kind == "sigma_star":
         return sigma_star(d, pointwise=pointwise)
-    if kind == "lowest_label":
-        return LabelOrderPolicy(lowest=True)
-    if kind == "highest_label":
-        return LabelOrderPolicy(lowest=False)
-    if kind == "breadth_first":
-        return BreadthPreferringPolicy()
     raise ValueError(f"unknown policy id {kind!r}")
 
 
@@ -445,6 +439,16 @@ def pick_by_thresholds(items: Sequence, thresholds: Sequence[float], r: float):
     return items[-1]
 
 
+def checked_distribution(policy: SeekerPolicy, state: SearchState) -> Distribution:
+    """``policy.distribution(state)``, refused unless every move is onto the frontier."""
+    dist = policy.distribution(state)
+    frontier = state.frontier
+    for w, _ in dist:
+        if w not in frontier:
+            raise PolicyViolation(f"policy {policy.identifier} proposed a node off the frontier")
+    return dist
+
+
 TRIE_ENTRIES = 1 << 18  # a decision trie stops growing once it holds this many moves
 
 
@@ -476,9 +480,7 @@ def _walk(
     state = SearchState(g, visited)
     grow = trie[0] < TRIE_ENTRIES
     while len(visited) < g.n and visited[-1] != stop_at:
-        dist = policy.distribution(state)
-        if not {w for w, _ in dist} <= state.frontier:
-            raise PolicyViolation(f"policy {policy.identifier} proposed a node off the frontier")
+        dist = checked_distribution(policy, state)
         if grow:
             level[visited[-1]] = (dist, {})
             trie[0] += len(dist)

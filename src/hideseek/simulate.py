@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadWorkerCount
-from .graphs import Graph
 from .hider import HiderStrategy
 from .seeker import SeekerPolicy, cumulative_thresholds, pick_by_thresholds, sample_position
 
@@ -23,11 +22,6 @@ WORKERS_ENV = "HIDESEEK_WORKERS"
 def trial_rng(seed: int, index: int) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
-
-
-def run_episode(policy: SeekerPolicy, g: Graph, h: int, seed: int, index: int) -> int:
-    """Position of ``h`` in one sampled episode; a pure function of (seed, index)."""
-    return sample_position(policy, g, h, trial_rng(seed, index))
 
 
 def _worker_count(workers: int | None) -> int:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hideseek import __version__, suites
-from hideseek.cli import MODES, SPEC_FIELDS, main
+from hideseek.analysis import STRATEGIES
+from hideseek.cli import MODES, SPEC_FIELDS, SUITE_OPTIONS, main, verify
 from hideseek.corpus import default_corpus
 from hideseek.graphs import graph_to_json
-from hideseek.hider import TREE_ENUM_LIMIT
+from hideseek.hider import TREE_ENUM_LIMIT, example1_graph
 
 
 def invoke(runner, *args):
@@ -231,7 +233,123 @@ class TestBatch:
         assert "NodeOutOfRange" not in result.output
 
 
+class TestEvalIsOneSpecBatch:
+    """``eval`` runs as a batch of one spec: one set of defaults, checks and messages."""
+
+    @pytest.fixture(scope="class")
+    def graph(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ex1") / "ex1.json"
+        path.write_text(graph_to_json(*example1_graph(10, 3)))
+        return path
+
+    # the pointwise mixture in closed mode is refused by both, each in its own
+    # words (test_pointwise_closed_forms_refused)
+    @pytest.mark.parametrize("mode,strategy,pointwise", [
+        *[(m, s, False) for m in MODES for s in STRATEGIES],
+        ("exact", "sigma_star", True), ("mc", "sigma_star", True),
+    ])
+    def test_same_stdout(self, graph, tmp_path, mode, strategy, pointwise):
+        spec = {"graph": str(graph), "strategy": strategy, "mode": mode, "pointwise": pointwise}
+        args = ["eval", "--graph", str(graph), "--strategy", strategy, "--mode", mode]
+        if strategy in ("dfs_d", "sigma_star"):
+            spec["d"] = 3
+            args += ["--d", "3"]
+        if mode == "mc":
+            spec.update(trials=300, seed=4)
+            args += ["--trials", "300", "--seed", "4"]
+        if pointwise:
+            args.append("--pointwise")
+        (tmp_path / "spec.json").write_text(json.dumps([spec]))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            one = runner.invoke(main, args)
+            both = runner.invoke(main, ["batch", "--spec", str(tmp_path / "spec.json")])
+        assert (one.exit_code, one.stdout, one.stderr) == (both.exit_code, both.stdout, both.stderr)
+
+    @pytest.mark.parametrize("strategy", ["lowest_label", "highest_label", "breadth_first"])
+    def test_batch_takes_only_the_eval_strategies(self, graph, tmp_path, strategy):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"graph": str(graph), "strategy": strategy}]))
+        result = CliRunner().invoke(main, ["batch", "--spec", str(spec)])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: bad batch spec: item 0: strategy must be one of "
+                                 "dfs, dfs_d, adfs, sigma_star\n")
+
+    def test_null_target_reads_the_file(self, graph, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps([{"graph": str(graph), "strategy": "dfs", "target": None}]))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = invoke(runner, "batch", "--spec", str(spec))
+        assert result.exit_code == 0
+        assert result.output == "instance,strategy,target,mode,value\nex1,dfs,3,exact,7\n"
+
+    def test_eval_manifest_names_the_spec_as_run(self, graph):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            invoke(runner, "eval", "--graph", str(graph), "--strategy", "dfs")
+            manifest = json.loads(Path("run-manifest.json").read_text())
+        assert manifest["params"] == {"graph": str(graph), "strategy": "dfs", "target": 3,
+                                      "mode": "exact", "trials": 10000, "seed": 0}
+
+
+# a value for each verify option, by the keyword its runner takes
+OPTION_ARGS = {
+    "max_n": ["--max-n", "4"],
+    "corpus": ["--corpus", "default"],
+    "ns": ["--n", "5"],
+    "benefit_specs": ["--benefit", "constant"],
+    "mc_trials": ["--trials", "5"],
+    "mc_seed": ["--seed", "1"],
+}
+
+
+def test_option_table_matches_the_runners():
+    """Every suite states its options, and each is a keyword of its runner and a verify option."""
+    assert SUITE_OPTIONS.keys() == suites.SUITES.keys()
+    assert OPTION_ARGS.keys() == {p.name for p in verify.params} - {"suite"}
+    for suite, keywords in SUITE_OPTIONS.items():
+        assert set(keywords) <= inspect.signature(suites.SUITES[suite]).parameters.keys(), suite
+        assert set(keywords) <= OPTION_ARGS.keys(), suite
+
+
 class TestVerify:
+    @pytest.mark.parametrize("suite,keyword", [
+        (suite, keyword) for suite in sorted(SUITE_OPTIONS) for keyword in OPTION_ARGS
+        if keyword not in SUITE_OPTIONS[suite]
+    ])
+    def test_option_the_suite_does_not_take_is_refused(self, monkeypatch, suite, keyword):
+        def sentinel(**kwargs):
+            pytest.fail(f"suite {suite} ran with {kwargs}")
+
+        monkeypatch.setitem(suites.SUITES, suite, sentinel)
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["verify", suite, *OPTION_ARGS[keyword]])
+            assert not Path("run-manifest.json").exists()
+        assert result.exit_code == 2
+        assert result.stderr == f"error: suite {suite} takes no {OPTION_ARGS[keyword][0]}\n"
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+    def test_manifest_lists_the_options_the_suite_took(self, monkeypatch, suite):
+        took = {}
+
+        def runner_stub(**kwargs):
+            took.update(kwargs)
+            report = suites.SuiteReport(suite)
+            report.add("stub", True)
+            return report
+
+        monkeypatch.setitem(suites.SUITES, suite, runner_stub)
+        args = [arg for keyword in SUITE_OPTIONS[suite] for arg in OPTION_ARGS[keyword]]
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = invoke(runner, "verify", suite, *args)
+            manifest = json.loads(Path("run-manifest.json").read_text())
+        assert result.exit_code == 0
+        assert took.keys() == set(SUITE_OPTIONS[suite])
+        assert manifest["params"].keys() == {OPTION_ARGS[k][0][2:].replace("-", "_") for k in took}
+
     def test_lemma1_small(self):
         runner = CliRunner()
         with runner.isolated_filesystem():
@@ -240,6 +358,7 @@ class TestVerify:
             assert "[lemma1] suite: PASS" in result.output
             manifest = json.loads(Path("run-manifest.json").read_text())
             assert manifest["command"] == "verify lemma1"
+            assert manifest["params"] == {"max_n": 4}
 
     def test_equivalence_small(self):
         runner = CliRunner()

@@ -139,18 +139,6 @@ class TestBenefitFunction:
         with pytest.raises(ValueError):
             BenefitFunction((Fraction(1), Fraction(2)))
 
-    def test_step_json(self):
-        b = BenefitFunction.from_json({"kind": "step", "d": 3}, 6)
-        assert [b(x) for x in range(6)] == [1, 1, 1, 1, 0, 0]
-
-    def test_table_json(self):
-        b = BenefitFunction.from_json({"kind": "table", "values": ["1", "0.5", "0.25"]}, 3)
-        assert b(1) == Fraction(1, 2)
-
-    def test_geometric_json_is_exact(self):
-        b = BenefitFunction.from_json({"kind": "geometric", "rho": 0.9}, 4)
-        assert b(2) == Fraction(81, 100)
-
     def test_spec_strings(self):
         assert BenefitFunction.from_spec("step:2", 5)(3) == 0
         assert BenefitFunction.from_spec("geometric:0.5", 5)(2) == Fraction(1, 4)

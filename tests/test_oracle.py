@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hideseek import suites
-from hideseek.errors import NodeOutOfRange, TooLarge
+from hideseek.errors import NodeOutOfRange, PolicyViolation, TooLarge
 from hideseek.graphs import bfs_distances, from_edges
 from hideseek.hider import (
     BenefitFunction,
@@ -34,6 +35,7 @@ from hideseek.seeker import (
     BoundedDFSPolicy,
     DFSPolicy,
     battery_policies,
+    execute,
     sigma_star,
 )
 
@@ -248,6 +250,32 @@ def test_equivalence_names_the_first_diverging_state(monkeypatch):
     detail = report.failures()[0].detail
     assert detail.startswith("adfs differs at ") and detail.endswith(f" on {sorted(walked[-1].edges)}")
     assert len(walked) < 1 + 3  # one tree on 2 nodes, and not every tree on 3
+
+
+class Jumper(DFSPolicy):
+    """Plain DFS, except that it jumps to the highest node neither visited nor on the frontier."""
+
+    kind = "jumper"
+
+    def distribution(self, state):
+        hidden = [v for v in range(state.g.n) if v not in state.visited_set and v not in state.frontier]
+        return ((max(hidden), Fraction(1)),) if hidden else super().distribution(state)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda g: exact_expected_pos(Jumper(), g, 5),
+    lambda g: exact_expected_pos(Jumper(), g, 5, memoized=True),
+    lambda g: exact_visit_prob(Jumper(), g, 4, 5),
+    lambda g: exact_position_table(Jumper(), g),
+    lambda g: reachable_observations(Jumper(), g, lambda state, moves: None),
+    lambda g: execute(Jumper(), g, random.Random(0)),
+], ids=["expected_pos", "expected_pos_memoized", "visit_prob", "position_table", "observations", "execute"])
+def test_a_move_off_the_frontier_is_refused_by_every_engine(walk):
+    """On palm_tree(6, 2) the jump onto 5, a leaf at distance 2, used to give
+    E[pos 5] = 1 and P(4 before 5) = 0 when 5 was the question's target, and a
+    bare KeyError otherwise; the sampler refused it."""
+    with pytest.raises(PolicyViolation, match="policy jumper proposed a node off the frontier"):
+        walk(palm_tree(6, 2))
 
 
 @pytest.mark.parametrize("walk", [

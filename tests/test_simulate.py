@@ -25,7 +25,7 @@ from hideseek.seeker import (
     sample_position,
     sigma_star,
 )
-from hideseek.simulate import WORKERS_ENV, monte_carlo, run_episode, trial_rng
+from hideseek.simulate import WORKERS_ENV, monte_carlo, trial_rng
 
 from graph_strategies import at_most_one_cycle
 
@@ -34,20 +34,22 @@ def line(n):
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-class TestRunEpisode:
+class TestSamplePosition:
+    """One trial is a pure function of ``trial_rng(seed, index)``."""
+
     def test_line_always_end(self):
         g = line(4)
-        assert all(run_episode(DFSPolicy(), g, 3, seed=s, index=0) == 3 for s in range(5))
+        assert all(sample_position(DFSPolicy(), g, 3, trial_rng(s, 0)) == 3 for s in range(5))
 
     def test_palm_crown_support(self):
         g = palm_tree(5, 2)
-        positions = {run_episode(DFSPolicy(), g, 3, seed=1, index=i) for i in range(60)}
+        positions = {sample_position(DFSPolicy(), g, 3, trial_rng(1, i)) for i in range(60)}
         assert positions == {2, 3, 4}
 
     def test_deterministic_per_seed_index(self):
         g, t = example1_graph(12, 3)
-        a = run_episode(DFSPolicy(), g, t, seed=42, index=17)
-        b = run_episode(DFSPolicy(), g, t, seed=42, index=17)
+        a = sample_position(DFSPolicy(), g, t, trial_rng(42, 17))
+        b = sample_position(DFSPolicy(), g, t, trial_rng(42, 17))
         assert a == b
 
     @settings(max_examples=80, deadline=None)
@@ -59,12 +61,12 @@ class TestRunEpisode:
                 for h in range(g.n):
                     full = execute(policy, g, trial_rng(seed, index)).pos(h)
                     assert sample_position(policy, g, h, trial_rng(seed, index), tries) == full
-                    assert run_episode(policy, g, h, seed, index) == full
+                    assert sample_position(policy, g, h, trial_rng(seed, index)) == full
 
     def test_independent_streams(self):
         # different indices should not all coincide on a randomized instance
         g = palm_tree(8, 2)
-        values = {run_episode(DFSPolicy(), g, 5, seed=9, index=i) for i in range(30)}
+        values = {sample_position(DFSPolicy(), g, 5, trial_rng(9, i)) for i in range(30)}
         assert len(values) > 1
 
 
