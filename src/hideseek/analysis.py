@@ -102,9 +102,8 @@ def tree_dfs_expected_positions(g: Graph, s: int, targets: Iterable[int] | None 
     """
     if not g.is_tree():
         raise NotATree(f"graph has {g.edge_count} edges over {g.n} nodes")
-    # not cached_profiles: the lemma1 suite visits each tree once, and keeping
-    # a profile for each of its 1,440 trees up to n = 6 added 2.8 MB
-    # (tracemalloc), over a tenth of the 26 MB peak of the exact benchmark
+    # not cached_profiles: the lemma1 suite visits each tree once, so a kept
+    # profile would never be read again
     prof = path_profiles(g, s)
     size = [1] * g.n
     for v, u in reversed(prof.parent.items()):  # BFS order reversed: children before parents

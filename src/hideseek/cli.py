@@ -122,6 +122,8 @@ def _spec_problem(specs) -> str | None:
     """Why ``specs`` is not a list of eval specs, or ``None`` when it is one."""
     if type(specs) is not list:
         return "the spec must be a JSON list of objects"
+    if not specs:
+        return "the spec lists no evaluations"
     for i, item in enumerate(specs):
         if type(item) is not dict:
             return f"item {i} is not a JSON object"
@@ -204,7 +206,7 @@ def batch(spec_path, out):
 SUITE_OPTIONS = {
     "lemma1": ("max_n",),
     "lemma2": ("max_n",),
-    "tables": ("corpus",),
+    "tables": (),
     "examples": ("mc_trials", "mc_seed"),
     "prop1": (),
     "equilibrium": ("ns", "benefit_specs"),
@@ -215,7 +217,6 @@ SUITE_OPTIONS = {
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @click.option("--max-n", type=int, help="Cap for tree-enumeration suites.")
-@click.option("--corpus", type=click.Choice(["default"]), help="Instance corpus for the tables suite.")
 @click.option("--n", "ns", type=int, multiple=True,
               help="Node counts for the equilibrium suite (repeatable).")
 @click.option("--benefit", "benefit_specs", type=str, multiple=True,

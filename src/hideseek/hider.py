@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -10,7 +11,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BadHeight, BadShape, TooLarge
 from .graphs import Graph, from_edges
 
-TREE_ENUM_LIMIT = 9  # n^(n-2) labeled trees; ~4.8M at n=9 is the ceiling we accept
+# the largest n that tree_sizes accepts: gen tree-enum prints n^(n-2) labelled
+# trees (~4.8M at n=9), and the tree suites walk tree_classes up to it
+TREE_ENUM_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -168,11 +171,12 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 
 
 def tree_sizes(ns: Iterable[int]) -> list[int]:
-    """The sizes ``ns``, once :func:`all_trees` accepts every one of them.
+    """The sizes ``ns``, once :func:`all_trees` and :func:`tree_classes`
+    accept every one of them.
 
-    ``all_trees`` is lazy and checks its size only when first iterated; a
-    caller that enumerates several sizes passes them here first, so a bad
-    last size is refused before the first tree is built.
+    Both are lazy and check their size only when first iterated; a caller
+    that enumerates several sizes passes them here first, so a bad last size
+    is refused before the first tree is built.
     """
     ns = list(ns)
     for n in ns:
@@ -191,3 +195,59 @@ def all_trees(n: int) -> Iterator[Graph]:
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield from_edges(n, prufer_decode(seq, n))
+
+
+def tree_classes(n: int) -> Iterator[tuple[Graph, int]]:
+    """One tree per rooted unlabelled tree on ``n`` nodes (OEIS A000081), each
+    rooted at source 0 and weighted by the number of labelled trees with
+    source 0 in its class; the weights sum to n^(n-2).
+
+    The classes come in reverse lexicographic order of their level
+    sequences, from the path to the star.  A representative is labelled in
+    preorder.  Its weight is (n-1)!/|Aut(root)|, read off the AHU codes: a
+    node's |Aut| is the product of its children's, times k! for each k
+    children with equal codes.
+    """
+    tree_sizes([n])
+    for levels in _level_sequences(n):
+        yield _level_tree(levels)
+
+
+def _level_sequences(n: int) -> Iterator[list[int]]:
+    """The canonical level sequence of each rooted tree on ``n`` nodes: node
+    depths in preorder, children ordered by decreasing subtree sequence.
+    From the path on, each step takes the last node ``p`` deeper than 1 and
+    its parent ``q``, and refills the sequence from ``p`` on with copies of
+    ``levels[q:p]`` (Beyer & Hedetniemi 1980).  One list is yielded, changed
+    in place."""
+    levels = list(range(n))
+    while True:
+        yield levels
+        p = max((i for i in range(n) if levels[i] > 1), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        for i in range(p, n):
+            levels[i] = levels[i - p + q]
+
+
+def _level_tree(levels: Sequence[int]) -> tuple[Graph, int]:
+    """The preorder-labelled tree of a level sequence and its labelling weight."""
+    n = len(levels)
+    children: list[list[int]] = [[] for _ in range(n)]
+    path: list[int] = []  # the nodes from the root to the last one placed
+    for v, level in enumerate(levels):
+        del path[level:]
+        if path:
+            children[path[-1]].append(v)
+        path.append(v)
+    code: list[tuple] = [()] * n
+    aut = [1] * n
+    for v in reversed(range(n)):
+        kids = sorted(code[c] for c in children[v])
+        code[v] = tuple(kids)
+        aut[v] = math.prod(aut[c] for c in children[v])
+        for _, group in itertools.groupby(kids):
+            aut[v] *= math.factorial(len(list(group)))
+    edges = [(u, c) for u in range(n) for c in children[u]]
+    return from_edges(n, edges), math.factorial(n - 1) // aut[0]

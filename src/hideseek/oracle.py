@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
-from .hider import BenefitFunction, HiderStrategy, all_trees
+from .hider import BenefitFunction, HiderStrategy, tree_classes
 from .seeker import (Distribution, MixturePolicy, SearchState, SeekerPolicy, battery_policies,
                      checked_distribution)
 
@@ -220,13 +220,16 @@ def best_response_hider(
     policy: SeekerPolicy,
 ) -> list[tuple[Graph, int, Fraction]]:
     """Exhaustive best response to each of ``benefits`` over all labeled trees
-    on ``n`` nodes and their hiding nodes, from one enumeration of the trees.
+    on ``n`` nodes with source 0 and their hiding nodes, from one walk of the
+    trees.  ``policy`` must be label-free, so that isomorphic rooted trees
+    give equal payoffs and one tree per class stands for the whole class.
 
-    Per benefit, the first ``(tree, hiding node, payoff)`` with the highest
-    payoff benefit(distance) * expected position.  ``all_trees`` checks ``n``.
+    Per benefit, the first ``(class representative, hiding node, payoff)``
+    with the highest payoff benefit(distance) * expected position, in the
+    order of :func:`tree_classes`, which checks ``n``.
     """
     best: list = [None] * len(benefits)
-    for g in all_trees(n):
+    for g, _ in tree_classes(n):
         table = exact_position_table(policy, g, node_limit=None)
         dist = bfs_distances(g, g.source)
         for h in range(n):

@@ -22,11 +22,11 @@ from .graphs import bfs_distances
 from .hider import (
     BenefitFunction,
     HiderStrategy,
-    all_trees,
     example1_graph,
     example2_graph,
     optimal_hiding_depths,
     palm_crown_mixed,
+    tree_classes,
     tree_sizes,
 )
 from .oracle import (
@@ -83,19 +83,23 @@ class SuiteReport:
 
 
 def run_lemma1(max_n: int = 7) -> SuiteReport:
-    """Exact expected DFS position on every labeled tree vs the closed form."""
+    """Exact expected DFS position on every labeled tree vs the closed form.
+
+    Both sides are the same on isomorphic rooted trees, so one tree per class
+    is checked and counted by its weight; a failure names that representative.
+    """
     report = SuiteReport("lemma1")
     policy = DFSPolicy()
     for n in tree_sizes(range(3, max_n + 1)):
         trees = 0
         bad = None
-        for g in all_trees(n):
+        for g, weight in tree_classes(n):
             table = exact_position_table(policy, g, node_limit=None)
             for t, want in enumerate(tree_dfs_expected_positions(g, 0)):
                 if table[t] != want:
                     bad = f"tree {sorted(g.edges)} target {t}: oracle {table[t]} formula {want}"
                     break
-            trees += 1
+            trees += weight
             if bad:
                 break
         report.add(
@@ -175,10 +179,8 @@ def _visit_tables(g, d: int) -> dict[str, dict[tuple[int, int], Fraction]]:
     return tables
 
 
-def run_tables(corpus: str = "default") -> SuiteReport:
+def run_tables() -> SuiteReport:
     """Table probabilities vs the oracle on the corpus, with branch coverage."""
-    if corpus != "default":
-        raise ValueError(f"unknown corpus {corpus!r}")
     report = SuiteReport("tables")
     fired: dict[str, int] = {}
     for instance in default_corpus():
@@ -291,8 +293,11 @@ def run_equilibrium(
 def run_equivalence(max_n: int = 7) -> SuiteReport:
     """On trees, bound-n DFS and adjusted DFS match plain DFS observation-wise.
 
-    The walk looks at a state's children before the state, so a failing tree
-    names the first differing state in that order, and no later tree is walked.
+    All three policies are label-free, so one tree per rooted class is walked
+    and its observations count by the class's weight.  The walk looks at a
+    state's children before the state, so a failure names the class
+    representative and its first differing state in that order, and no later
+    class is walked.
     """
     report = SuiteReport("equivalence")
     dfs = DFSPolicy()
@@ -310,9 +315,9 @@ def run_equivalence(max_n: int = 7) -> SuiteReport:
                 if policy.distribution(state) != moves:
                     bad = f"{name} differs at {tuple(state.visited)} on {sorted(g.edges)}"
                     return
-            observations += 1
+            observations += weight
 
-        for g in all_trees(n):
+        for g, weight in tree_classes(n):
             reachable_observations(dfs, g, look)
             if bad:
                 break

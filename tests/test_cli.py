@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hideseek import __version__, suites
+from hideseek import __version__, oracle, suites
 from hideseek.analysis import STRATEGIES
 from hideseek.cli import MODES, SPEC_FIELDS, SUITE_OPTIONS, main, verify
 from hideseek.corpus import default_corpus
@@ -296,7 +296,6 @@ class TestEvalIsOneSpecBatch:
 # a value for each verify option, by the keyword its runner takes
 OPTION_ARGS = {
     "max_n": ["--max-n", "4"],
-    "corpus": ["--corpus", "default"],
     "ns": ["--n", "5"],
     "benefit_specs": ["--benefit", "constant"],
     "mc_trials": ["--trials", "5"],
@@ -329,6 +328,17 @@ class TestVerify:
             assert not Path("run-manifest.json").exists()
         assert result.exit_code == 2
         assert result.stderr == f"error: suite {suite} takes no {OPTION_ARGS[keyword][0]}\n"
+
+    @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+    def test_corpus_is_an_unknown_option(self, monkeypatch, suite):
+        """``--corpus`` could only restate the one corpus; no suite takes it now."""
+        def sentinel(**kwargs):
+            pytest.fail(f"suite {suite} ran with {kwargs}")
+
+        monkeypatch.setitem(suites.SUITES, suite, sentinel)
+        result = CliRunner().invoke(main, ["verify", suite, "--corpus", "default"])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "--corpus" in result.stderr
 
     @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
     def test_manifest_lists_the_options_the_suite_took(self, monkeypatch, suite):
@@ -382,9 +392,11 @@ class TestVerify:
     ])
     def test_oversized_trees_refused_before_enumeration(self, monkeypatch, args):
         def sentinel(n):
-            pytest.fail(f"all_trees({n}) ran before every size was checked")
+            pytest.fail(f"tree_classes({n}) ran before every size was checked")
 
-        monkeypatch.setattr(suites, "all_trees", sentinel)
+        # lemma1 and equivalence walk the classes in suites, equilibrium in oracle
+        monkeypatch.setattr(suites, "tree_classes", sentinel)
+        monkeypatch.setattr(oracle, "tree_classes", sentinel)
         runner = CliRunner()
         with runner.isolated_filesystem():
             result = invoke(runner, "verify", *args)
@@ -505,6 +517,17 @@ class TestMalformedInput:
         result = CliRunner().invoke(main, ["batch", "--spec", str(spec)])
         _assert_bad_input(result)
         assert "the spec must be a JSON list of objects" in result.stderr
+
+    def test_empty_spec_rejected(self, workdir):
+        spec = workdir / "empty.json"
+        spec.write_text("[]")
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["batch", "--spec", str(spec)])
+            assert not Path("run-manifest.json").exists()
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: bad batch spec: the spec lists no evaluations\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,10 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hideseek import hider
 from hideseek.errors import BadHeight, BadShape, TooLarge
 from hideseek.graphs import bfs_distances, find_cycle, path_profiles
 from hideseek.hider import (
+    TREE_ENUM_LIMIT,
     BenefitFunction,
     HiderStrategy,
     all_trees,
@@ -13,6 +16,7 @@ from hideseek.hider import (
     optimal_hiding_depths,
     palm_crown_mixed,
     palm_tree,
+    tree_classes,
 )
 
 
@@ -132,6 +136,46 @@ class TestAllTrees:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             next(all_trees(10))
+
+
+# rooted unlabelled trees on n = 1..12 nodes (OEIS A000081)
+ROOTED_TREES = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766)
+
+
+def ahu_code(g, root=0):
+    """The AHU code of the tree ``g`` rooted at ``root``: equal exactly on
+    isomorphic rooted trees."""
+    def code(v, parent):
+        return tuple(sorted(code(w, v) for w in g.adj[v] if w != parent))
+
+    return code(root, None)
+
+
+class TestTreeClasses:
+    def test_counts_and_weights(self, monkeypatch):
+        """A000081 classes, whose weights sum to Cayley's n^(n-2), also past the cap."""
+        monkeypatch.setattr(hider, "TREE_ENUM_LIMIT", len(ROOTED_TREES))
+        assert [list(levels) for levels in hider._level_sequences(1)] == [[0]]
+        for n in range(2, len(ROOTED_TREES) + 1):
+            weights = [weight for _, weight in tree_classes(n)]
+            assert len(weights) == ROOTED_TREES[n - 1], n
+            assert sum(weights) == n ** (n - 2), n
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_classes_are_the_labelled_trees_up_to_isomorphism(self, n):
+        """Deduplicating the Prufer trees by their AHU code rooted at 0 gives
+        the same classes, each as many times as its weight."""
+        classes = [(ahu_code(g), weight) for g, weight in tree_classes(n)]
+        assert len({code for code, _ in classes}) == len(classes)
+        assert dict(classes) == Counter(ahu_code(g) for g in all_trees(n))
+
+    def test_too_large_refused_before_any_class_is_built(self, monkeypatch):
+        def sentinel(*args):
+            pytest.fail("a class was built before the size was checked")
+
+        monkeypatch.setattr(hider, "from_edges", sentinel)
+        with pytest.raises(TooLarge):
+            next(tree_classes(TREE_ENUM_LIMIT + 1))
 
 
 class TestBenefitFunction:

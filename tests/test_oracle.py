@@ -13,10 +13,10 @@ from hideseek.graphs import bfs_distances, from_edges
 from hideseek.hider import (
     BenefitFunction,
     HiderStrategy,
-    all_trees,
     example1_graph,
     palm_crown_mixed,
     palm_tree,
+    tree_classes,
 )
 from hideseek.oracle import (
     adversarial_policy_battery,
@@ -232,24 +232,29 @@ def test_reachable_observations_are_every_unfinished_state():
 
 
 def test_equivalence_names_the_first_diverging_state(monkeypatch):
-    """A policy that leaves plain DFS fails its tree's check, and no later tree is walked."""
-    walked = []
+    """A policy that leaves plain DFS fails at the first class where it does:
+    the detail names that representative, and no later class of its size is walked."""
+    walked = {}
 
-    def counting_trees(n):
-        for g in all_trees(n):
-            walked.append(g)
-            yield g
+    def counting_classes(n):
+        walked[n] = []
+        for g, weight in tree_classes(n):
+            walked[n].append(g)
+            yield g, weight
 
     def lowest_first(self, state):
         return ((min(state.frontier), Fraction(1)),)
 
-    monkeypatch.setattr(suites, "all_trees", counting_trees)
+    monkeypatch.setattr(suites, "tree_classes", counting_classes)
     monkeypatch.setattr(AdjustedDFSPolicy, "distribution", lowest_first)
-    report = suites.run_equivalence(max_n=3)
-    assert [c.check_id for c in report.failures()] == ["trees n=3"]
-    detail = report.failures()[0].detail
-    assert detail.startswith("adfs differs at ") and detail.endswith(f" on {sorted(walked[-1].edges)}")
-    assert len(walked) < 1 + 3  # one tree on 2 nodes, and not every tree on 3
+    report = suites.run_equivalence(max_n=4)
+    assert [c.check_id for c in report.failures()] == ["trees n=3", "trees n=4"]
+    for n, check in zip((3, 4), report.failures()):
+        assert check.detail.startswith("adfs differs at ")
+        assert check.detail.endswith(f" on {sorted(walked[n][-1].edges)}")
+    # the path is the one class on 4 nodes where DFS never has a choice, so
+    # the walk stops at the first or the second class
+    assert len(walked[4]) < 4
 
 
 class Jumper(DFSPolicy):
