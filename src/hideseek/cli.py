@@ -2,12 +2,13 @@
 
 ``eval`` runs as a ``batch`` of one spec, so both read ``SPEC_DEFAULTS``, take
 the strategies in ``analysis.STRATEGIES`` and go through one evaluation path.
-``verify`` passes a suite only the options the user gave and that the suite
-takes by ``SUITE_OPTIONS``; the suite runner's signature holds their defaults.
+``verify`` passes a suite only the options the user gave, and refuses one that
+is not a keyword of the suite's runner; the runner's signature holds the defaults.
 Exit codes: 0 success, 1 verification failure, 2 bad input.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -26,8 +27,8 @@ from .suites import SUITES
 
 GENERATORS = {
     "palm": lambda n, d: (palm_tree(n, d), None),
-    "example1": lambda n, d: example1_graph(n, d),
-    "example2": lambda n, d: example2_graph(n, d),
+    "example1": example1_graph,
+    "example2": example2_graph,
 }
 
 
@@ -81,8 +82,6 @@ def _evaluate_row(g: Graph, spec: dict) -> str:
     strategy, target, mode, d = spec["strategy"], spec["target"], spec["mode"], spec["d"]
     instance = spec.get("instance", Path(spec["graph"]).stem)
     check_node(g.n, target, "target")
-    # built in every mode, so that the closed forms refuse the bounds the policies refuse
-    policy = policy_from_id(strategy, d=d, pointwise=spec["pointwise"])
     if mode == "closed":
         if strategy == "sigma_star" and spec["pointwise"]:
             raise ValueError("the closed forms cover the upfront sigma_star mixture only, "
@@ -92,6 +91,7 @@ def _evaluate_row(g: Graph, spec: dict) -> str:
         else:
             value = expected_position_from_tables(strategy, g, g.source, target, d)
         return f"{instance},{strategy},{target},closed,{value}"
+    policy = policy_from_id(strategy, d=d, pointwise=spec["pointwise"])
     if mode == "exact":
         value = exact_expected_pos(policy, g, target, memoized=True)
         return f"{instance},{strategy},{target},exact,{value}"
@@ -201,19 +201,6 @@ def batch(spec_path, out):
     _emit(out, _evaluate(specs, "bad batch spec: ")[0], "batch", {"spec": str(spec_path)})
 
 
-# the keywords each suite's runner takes from the command line; the runner's
-# signature holds their defaults, and an option a suite does not take is refused
-SUITE_OPTIONS = {
-    "lemma1": ("max_n",),
-    "lemma2": ("max_n",),
-    "tables": (),
-    "examples": ("mc_trials", "mc_seed"),
-    "prop1": (),
-    "equilibrium": ("ns", "benefit_specs"),
-    "equivalence": ("max_n",),
-}
-
-
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @click.option("--max-n", type=int, help="Cap for tree-enumeration suites.")
@@ -227,7 +214,8 @@ def verify(suite, **options):
     """Run a named verification suite; exits 1 on the first failing fact."""
     flags = {p.name: p.opts[0] for p in verify.params}
     given = {k: v for k, v in options.items() if v not in (None, ())}
-    refused = [flags[k] for k in given if k not in SUITE_OPTIONS[suite]]
+    takes = inspect.signature(SUITES[suite]).parameters
+    refused = [flags[k] for k in given if k not in takes]
     if refused:
         _fail_input(f"suite {suite} takes no {' or '.join(refused)}")
     try:

@@ -36,6 +36,8 @@ class BenefitFunction:
 
     @staticmethod
     def step(cutoff: int, n: int) -> "BenefitFunction":
+        if cutoff < 0:
+            raise ValueError("step cutoff must be non-negative")
         vals = tuple(Fraction(1) if x <= cutoff else Fraction(0) for x in range(n))
         return BenefitFunction(vals, kind=f"step:{cutoff}")
 
@@ -171,14 +173,14 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 
 
 def tree_sizes(ns: Iterable[int]) -> list[int]:
-    """The sizes ``ns``, once :func:`all_trees` and :func:`tree_classes`
-    accept every one of them.
+    """The sizes ``ns``, each once and in order, once :func:`all_trees` and
+    :func:`tree_classes` accept every one of them.
 
     Both are lazy and check their size only when first iterated; a caller
     that enumerates several sizes passes them here first, so a bad last size
     is refused before the first tree is built.
     """
-    ns = list(ns)
+    ns = list(dict.fromkeys(ns))
     for n in ns:
         if n < 2:
             raise TooLarge("tree enumeration needs n >= 2")

@@ -27,9 +27,9 @@ from .seeker import (Distribution, MixturePolicy, SearchState, SeekerPolicy, bat
 DEFAULT_NODE_LIMIT = 12
 
 
-def _guard(g: Graph, node_limit: int | None) -> None:
-    if node_limit is not None and g.n > node_limit:
-        raise TooLarge(f"enumeration guard: n = {g.n} exceeds {node_limit}")
+def _guard(n: int, node_limit: int | None = DEFAULT_NODE_LIMIT) -> None:
+    if node_limit is not None and n > node_limit:
+        raise TooLarge(f"enumeration guard: n = {n} exceeds {node_limit}")
 
 
 def componentwise(policy: SeekerPolicy, quantity: Callable):
@@ -115,7 +115,7 @@ def exact_expected_pos(
 ) -> Fraction:
     """Exact expected 0-based position of ``h`` in the induced seeking sequence."""
     check_node(g.n, h, "target")
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
     if h == g.source:
         return Fraction(0)
 
@@ -140,7 +140,7 @@ def exact_visit_prob(
         raise ValueError("nodes must be distinct")
     check_node(g.n, v)
     check_node(g.n, t, "target")
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
     if v == g.source:
         return Fraction(1)
     if t == g.source:
@@ -159,7 +159,7 @@ def exact_position_table(
     node_limit: int | None = DEFAULT_NODE_LIMIT,
 ) -> dict[int, Fraction]:
     """Expected position of every node, from one forward pass over the decision DAG."""
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
 
     def table(p):
         out = dict.fromkeys(range(g.n), Fraction(0))
@@ -179,7 +179,7 @@ def exact_visit_table(
     """P(``v`` visited strictly before ``t``) for every ordered pair ``(v, t)`` of
     distinct nodes, from one forward pass: each move onto ``t`` adds its
     probability to every ``(v, t)`` with ``v`` already visited."""
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
 
     def table(p):
         out = {(v, t): Fraction(0) for t in range(g.n) for v in range(g.n) if v != t}
@@ -198,7 +198,7 @@ def episode_distribution(
     node_limit: int | None = 8,
 ) -> dict[tuple[int, ...], Fraction]:
     """Full distribution over seeking sequences (small instances only)."""
-    _guard(g, node_limit)
+    _guard(g.n, node_limit)
 
     def sequences(p):
         leaves = {visited + (w,): q for visited, w, q in _moves(p, g, False) if len(visited) == g.n - 1}
@@ -241,27 +241,26 @@ def best_response_hider(
 
 
 def hider_value(policy: SeekerPolicy, strategy: HiderStrategy, *, node_limit: int | None = DEFAULT_NODE_LIMIT) -> Fraction:
-    """Expected position of the hidden node under a mixed hiding strategy."""
-    graphs = {g for g, _, _ in strategy.atoms}
-    tables = {g: exact_position_table(policy, g, node_limit=node_limit) for g in graphs}
+    """Expected position of the hidden node under a mixed hiding strategy;
+    every graph of the strategy is checked against ``node_limit`` before the first walk."""
+    graphs = dict.fromkeys(g for g, _, _ in strategy.atoms)
+    for g in graphs:
+        _guard(g.n, node_limit)
+    tables = {g: exact_position_table(policy, g, node_limit=None) for g in graphs}
     return sum((p * tables[g][h] for g, h, p in strategy.atoms), Fraction(0))
 
 
 def adversarial_policy_battery(
-    g: Graph,
     strategy: HiderStrategy,
-    d: int | None = None,
+    d: int,
     *,
-    node_limit: int | None = 10,
+    node_limit: int | None = DEFAULT_NODE_LIMIT,
 ) -> list[tuple[str, Fraction]]:
-    """Expected positions for the whole policy battery against a hiding strategy.
+    """Expected positions for the whole policy battery, with bound ``d``, against
+    a hiding strategy.
 
     An upfront mixture is read off the values of its components, each
     computed once however many battery entries need it."""
-    _guard(g, node_limit)
-    if d is None:
-        dist = bfs_distances(g, g.source)
-        d = max(dist[h] for _, h, _ in strategy.atoms)
     values: dict[str, Fraction] = {}
 
     def value(policy: SeekerPolicy) -> Fraction:
@@ -270,7 +269,7 @@ def adversarial_policy_battery(
             values[key] = hider_value(policy, strategy, node_limit=node_limit)
         return values[key]
 
-    return [(policy.identifier, componentwise(policy, value)) for policy in battery_policies(max(d, 1))]
+    return [(policy.identifier, componentwise(policy, value)) for policy in battery_policies(d)]
 
 
 def reachable_observations(policy: SeekerPolicy, g: Graph,

@@ -30,6 +30,7 @@ from .hider import (
     tree_sizes,
 )
 from .oracle import (
+    _guard,
     adversarial_policy_battery,
     best_response_hider,
     componentwise,
@@ -40,6 +41,7 @@ from .oracle import (
     reachable_observations,
 )
 from .seeker import (
+    SIGMA_STAR_WEIGHTS,
     AdjustedDFSPolicy,
     BoundedDFSPolicy,
     DFSPolicy,
@@ -115,13 +117,16 @@ def _check_palm_battery(report: SuiteReport, n: int, d: int, check_id: str, agre
     policy to (n+d-1)/2; the pass detail reads ``<count> policies <agree> <value>``."""
     strategy = palm_crown_mixed(n, d)
     want = palm_expected_position(n, d)
-    results = adversarial_policy_battery(strategy.atoms[0][0], strategy, d)
+    results = adversarial_policy_battery(strategy, d)
     bad = [f"{name}: {value}" for name, value in results if value != want]
     report.add(check_id, not bad, "; ".join(bad) if bad else f"{len(results)} policies {agree} {want}")
 
 
 def run_lemma2(max_n: int = 10) -> SuiteReport:
-    """Crown-uniform hiding on palms pins every battery policy to (n+d-1)/2."""
+    """Crown-uniform hiding on palms pins every battery policy to (n+d-1)/2.
+
+    ``max_n`` is checked against the oracle's limit before the first palm."""
+    _guard(max_n)
     report = SuiteReport("lemma2")
     for n in range(2, max_n + 1):
         for d in range(1, n):
@@ -129,7 +134,7 @@ def run_lemma2(max_n: int = 10) -> SuiteReport:
     return report
 
 
-def run_example1(mc_trials: int = 100_000, mc_seed: int = 2024) -> SuiteReport:
+def run_example1(*, mc_trials: int, mc_seed: int) -> SuiteReport:
     """Decoy-cycle instance: DFS needs 2/3(n + d/2 - 1) steps in expectation."""
     report = SuiteReport("example1")
     policy = DFSPolicy()
@@ -163,7 +168,7 @@ def run_example2() -> SuiteReport:
 
 def run_examples(mc_trials: int = 100_000, mc_seed: int = 2024) -> SuiteReport:
     report = SuiteReport("examples")
-    for sub in (run_example1(mc_trials, mc_seed), run_example2()):
+    for sub in (run_example1(mc_trials=mc_trials, mc_seed=mc_seed), run_example2()):
         report.checks.extend(
             CheckResult(f"{sub.suite}:{c.check_id}", c.passed, c.detail) for c in sub.checks
         )
@@ -174,7 +179,7 @@ def _visit_tables(g, d: int) -> dict[str, dict[tuple[int, int], Fraction]]:
     """P(v before t) for every pair of ``g``, by strategy; sigma_star is mixed
     from its components' tables, so each component DAG is expanded once."""
     tables = {s: exact_visit_table(policy_from_id(s, d=d), g, node_limit=None)
-              for s in ("dfs", "adfs", "dfs_d")}
+              for s in SIGMA_STAR_WEIGHTS}
     tables["sigma_star"] = componentwise(sigma_star(d), lambda p: tables[p.kind])
     return tables
 

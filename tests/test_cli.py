@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from hideseek import __version__, oracle, suites
 from hideseek.analysis import STRATEGIES
-from hideseek.cli import MODES, SPEC_FIELDS, SUITE_OPTIONS, main, verify
+from hideseek.cli import MODES, SPEC_FIELDS, main, verify
 from hideseek.corpus import default_corpus
 from hideseek.graphs import graph_to_json
 from hideseek.hider import TREE_ENUM_LIMIT, example1_graph
@@ -190,6 +191,13 @@ class TestEval:
             exact = invoke(runner, *args, "--mode", "exact", "--pointwise")
             assert exact.output.splitlines()[1] == "stalk,sigma_star,10,exact,1481/192"
 
+    def test_pointwise_closed_forms_refused_before_the_bound(self, tmp_path):
+        graph = _stalk(tmp_path)
+        result = CliRunner().invoke(main, ["eval", "--graph", str(graph), "--strategy", "sigma_star",
+                                           "--target", "10", "--mode", "closed", "--pointwise"])
+        assert result.exit_code == 2
+        assert result.stderr == POINTWISE_CLOSED
+
 
 class TestBatch:
     def test_pointwise_closed_forms_refused(self, tmp_path):
@@ -303,21 +311,30 @@ OPTION_ARGS = {
 }
 
 
+def _takes(suite: str) -> list[str]:
+    """The keywords of a suite's runner: the verify options the suite takes."""
+    return list(inspect.signature(suites.SUITES[suite]).parameters)
+
+
+def _stub(suite: str):
+    """Decorate a stub with the signature of the suite's runner, which ``verify`` reads."""
+    return functools.wraps(suites.SUITES[suite])
+
+
 def test_option_table_matches_the_runners():
-    """Every suite states its options, and each is a keyword of its runner and a verify option."""
-    assert SUITE_OPTIONS.keys() == suites.SUITES.keys()
+    """Every keyword of every suite runner is a verify option, so verify can pass it on."""
     assert OPTION_ARGS.keys() == {p.name for p in verify.params} - {"suite"}
-    for suite, keywords in SUITE_OPTIONS.items():
-        assert set(keywords) <= inspect.signature(suites.SUITES[suite]).parameters.keys(), suite
-        assert set(keywords) <= OPTION_ARGS.keys(), suite
+    for suite in suites.SUITES:
+        assert set(_takes(suite)) <= OPTION_ARGS.keys(), suite
 
 
 class TestVerify:
     @pytest.mark.parametrize("suite,keyword", [
-        (suite, keyword) for suite in sorted(SUITE_OPTIONS) for keyword in OPTION_ARGS
-        if keyword not in SUITE_OPTIONS[suite]
+        (suite, keyword) for suite in sorted(suites.SUITES) for keyword in OPTION_ARGS
+        if keyword not in _takes(suite)
     ])
     def test_option_the_suite_does_not_take_is_refused(self, monkeypatch, suite, keyword):
+        @_stub(suite)
         def sentinel(**kwargs):
             pytest.fail(f"suite {suite} ran with {kwargs}")
 
@@ -329,9 +346,10 @@ class TestVerify:
         assert result.exit_code == 2
         assert result.stderr == f"error: suite {suite} takes no {OPTION_ARGS[keyword][0]}\n"
 
-    @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+    @pytest.mark.parametrize("suite", sorted(suites.SUITES))
     def test_corpus_is_an_unknown_option(self, monkeypatch, suite):
         """``--corpus`` could only restate the one corpus; no suite takes it now."""
+        @_stub(suite)
         def sentinel(**kwargs):
             pytest.fail(f"suite {suite} ran with {kwargs}")
 
@@ -340,10 +358,11 @@ class TestVerify:
         assert result.exit_code == 2
         assert "No such option" in result.stderr and "--corpus" in result.stderr
 
-    @pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+    @pytest.mark.parametrize("suite", sorted(suites.SUITES))
     def test_manifest_lists_the_options_the_suite_took(self, monkeypatch, suite):
         took = {}
 
+        @_stub(suite)
         def runner_stub(**kwargs):
             took.update(kwargs)
             report = suites.SuiteReport(suite)
@@ -351,13 +370,13 @@ class TestVerify:
             return report
 
         monkeypatch.setitem(suites.SUITES, suite, runner_stub)
-        args = [arg for keyword in SUITE_OPTIONS[suite] for arg in OPTION_ARGS[keyword]]
+        args = [arg for keyword in _takes(suite) for arg in OPTION_ARGS[keyword]]
         runner = CliRunner()
         with runner.isolated_filesystem():
             result = invoke(runner, "verify", suite, *args)
             manifest = json.loads(Path("run-manifest.json").read_text())
         assert result.exit_code == 0
-        assert took.keys() == set(SUITE_OPTIONS[suite])
+        assert took.keys() == set(_takes(suite))
         assert manifest["params"].keys() == {OPTION_ARGS[k][0][2:].replace("-", "_") for k in took}
 
     def test_lemma1_small(self):
@@ -402,6 +421,45 @@ class TestVerify:
             result = invoke(runner, "verify", *args)
         assert result.exit_code == 2
         assert result.stderr == f"error: tree enumeration capped at n = {TREE_ENUM_LIMIT}\n"
+
+    def test_lemma2_beyond_the_oracle_limit_refused_before_any_palm(self, monkeypatch):
+        def sentinel(*args, **kwargs):
+            pytest.fail("the battery ran before max_n was checked")
+
+        monkeypatch.setattr(suites, "adversarial_policy_battery", sentinel)
+        limit = oracle.DEFAULT_NODE_LIMIT
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["verify", "lemma2", "--max-n", str(limit + 1)])
+            assert not Path("run-manifest.json").exists()
+        assert result.exit_code == 2
+        assert result.stderr == f"error: enumeration guard: n = {limit + 1} exceeds {limit}\n"
+
+    def test_lemma2_runs_up_to_the_oracle_limit(self):
+        limit = oracle.DEFAULT_NODE_LIMIT
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = invoke(runner, "verify", "lemma2", "--max-n", str(limit))
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[-2] == f"[lemma2] PASS palm n={limit} d={limit - 1} (7 policies = {limit - 1})"
+        assert lines[-1].startswith("[lemma2] suite: PASS")
+
+    def test_a_repeated_size_runs_once(self):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            once = invoke(runner, "verify", "equilibrium", "--n", "4")
+            twice = invoke(runner, "verify", "equilibrium", "--n", "4", "--n", "4")
+        assert twice.exit_code == 0
+        assert twice.output == once.output
+
+    def test_negative_step_cutoff_refused(self):
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = runner.invoke(main, ["verify", "equilibrium", "--n", "3", "--benefit", "step:-3"])
+            assert not Path("run-manifest.json").exists()
+        assert result.exit_code == 2
+        assert result.stderr == "error: step cutoff must be non-negative\n"
 
 
 def test_module_route_runs_without_install(tmp_path):
@@ -540,6 +598,7 @@ GOLDEN = Path(__file__).parent / "golden"
     (["lemma2"], "verify_lemma2.txt"),
     (["equivalence", "--max-n", "6"], "verify_equivalence_max_n_6.txt"),
     (["equilibrium", "--n", "5", "--n", "6"], "verify_equilibrium_n_5_6.txt"),
+    (["examples", "--trials", "10000"], "verify_examples_trials_10000.txt"),
 ])
 def test_verify_report_is_golden(args, golden):
     """Suite reports stay byte-identical to the recorded output."""

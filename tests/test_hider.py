@@ -187,3 +187,12 @@ class TestBenefitFunction:
         assert BenefitFunction.from_spec("step:2", 5)(3) == 0
         assert BenefitFunction.from_spec("geometric:0.5", 5)(2) == Fraction(1, 4)
         assert BenefitFunction.from_spec("constant", 5)(4) == 1
+
+    def test_negative_step_cutoff_refused(self):
+        with pytest.raises(ValueError, match="step cutoff must be non-negative"):
+            BenefitFunction.step(-3, 5)
+        assert BenefitFunction.step(0, 5).values == (1, 0, 0, 0, 0)
+
+
+def test_tree_sizes_keep_each_size_once_in_order():
+    assert hider.tree_sizes([5, 4, 5, 3, 4]) == [5, 4, 3]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hideseek import suites
+from hideseek import oracle, suites
 from hideseek.errors import NodeOutOfRange, PolicyViolation, TooLarge
 from hideseek.graphs import bfs_distances, from_edges
 from hideseek.hider import (
@@ -165,16 +165,16 @@ class TestBestResponse:
 
 class TestBattery:
     def test_palm_6_2(self):
-        results = dict(adversarial_policy_battery(palm_tree(6, 2), palm_crown_mixed(6, 2), 2))
+        results = dict(adversarial_policy_battery(palm_crown_mixed(6, 2), 2))
         assert results["lowest_label"] == Fraction(7, 2)
         assert set(results.values()) == {Fraction(7, 2)}
 
     def test_line_deterministic(self):
-        results = adversarial_policy_battery(palm_tree(6, 5), palm_crown_mixed(6, 5), 5)
+        results = adversarial_policy_battery(palm_crown_mixed(6, 5), 5)
         assert all(value == 5 for _, value in results)
 
     def test_palm_8_3_mixture(self):
-        results = dict(adversarial_policy_battery(palm_tree(8, 3), palm_crown_mixed(8, 3), 3))
+        results = dict(adversarial_policy_battery(palm_crown_mixed(8, 3), 3))
         assert results[sigma_star(3).identifier] == 5
 
     def test_mixture_read_off_components_on_a_unicyclic_graph(self):
@@ -182,9 +182,19 @@ class TestBattery:
         is the mixture's own value where the components disagree."""
         g, t = example1_graph(8, 2)
         strategy = HiderStrategy(((g, t, Fraction(1, 2)), (g, 6, Fraction(1, 4)), (g, 7, Fraction(1, 4))))
-        results = dict(adversarial_policy_battery(g, strategy, 2))
+        results = dict(adversarial_policy_battery(strategy, 2))
         assert len({results[p.identifier] for p in battery_policies(2)[:3]}) > 1
         assert results[sigma_star(2).identifier] == hider_value(sigma_star(2), strategy)
+
+    def test_every_graph_checked_before_any_walk(self, monkeypatch):
+        def sentinel(*args, **kwargs):
+            pytest.fail("a decision tree was walked before every graph was checked")
+
+        monkeypatch.setattr(oracle, "_expand", sentinel)
+        strategy = HiderStrategy(((palm_tree(6, 2), 5, Fraction(1, 2)),
+                                  (palm_tree(oracle.DEFAULT_NODE_LIMIT + 1, 2), 5, Fraction(1, 2))))
+        with pytest.raises(TooLarge, match=f"n = {oracle.DEFAULT_NODE_LIMIT + 1} exceeds"):
+            adversarial_policy_battery(strategy, 2)
 
 
 def test_tree_oracle_matches_closed_form_exhaustively():
