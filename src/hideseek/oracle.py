@@ -1,8 +1,11 @@
 """Ground-truth engines: exact enumeration of randomized policies.
 
 Every quantity here is a fold over one expansion of a policy's decision tree
-(:func:`_expand`) with exact rational arithmetic, so results are suitable as
-an independent oracle for the closed forms in :mod:`hideseek.analysis`.
+(:func:`_expand`) with exact arithmetic, so results are suitable as an
+independent oracle for the closed forms in :mod:`hideseek.analysis`.  The
+folds accumulate exact integers over a common denominator (one per state
+for the children-first folds, one per decision DAG for the tables) and
+return reduced ``fractions.Fraction`` values, each built once.
 
 Single-target enumeration is sequence-keyed by default (no state is ever
 merged).  Passing ``memoized=True`` merges the states with equal
@@ -15,6 +18,7 @@ their weights.  No table is kept once its question is answered.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -56,38 +60,55 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
     onto a node in ``stop``, which is not expanded.  With ``memoized``, states
     with equal ``policy.state_key`` are expanded once and share that value.
     A move off the frontier raises ``PolicyViolation``.  Returns the root's value.
+
+    The walk keeps its own stack, one frame per visit, so its depth is not
+    bounded by Python's recursion limit.
     """
     state = SearchState(g)
     memo: dict = {}
-
-    def go():
-        key = policy.state_key(state) if memoized else None
-        if key is not None:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        edges = []
-        if len(state.visited) < g.n:
-            for w, p in checked_distribution(policy, state):
-                if w in stop:
-                    edges.append((w, p, None))
-                else:
-                    state.push(w)
-                    edges.append((w, p, go()))
+    # the states on the current visit sequence, root first, each as
+    # (memo key, its moves not yet taken, its edges so far, weight of the move into it)
+    frames = [_frame(policy, state, policy.state_key(state) if memoized else None, None)]
+    while True:
+        key, moves, edges, weight = frames[-1]
+        for w, p in moves:
+            if w in stop:
+                edges.append((w, p, None))
+                continue
+            state.push(w)
+            child = policy.state_key(state) if memoized else None
+            if child is not None:
+                hit = memo.get(child)
+                if hit is not None:
                     state.pop()
-        value = fold(state, edges)
-        if key is not None:
-            memo[key] = value
-        return value
+                    edges.append((w, p, hit))
+                    continue
+            frames.append(_frame(policy, state, child, p))
+            break
+        else:
+            value = fold(state, edges)
+            if key is not None:
+                memo[key] = value
+            frames.pop()
+            if not frames:
+                return value
+            frames[-1][2].append((state.pop(), weight, value))
 
-    root = go()
-    del go  # go's closure holds go itself: break that cycle so the memo is freed now
-    return root
+
+def _frame(policy: SeekerPolicy, state: SearchState, key, weight) -> tuple:
+    """A stack frame of :func:`_expand` for the state just entered."""
+    moves = checked_distribution(policy, state) if len(state.visited) < state.g.n else ()
+    return key, iter(moves), [], weight
 
 
-def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> Iterator[tuple[tuple, int, Fraction]]:
-    """Every move of the stored decision DAG as ``(visited, move, probability
-    of reaching the state and taking the move)``, parents before children."""
+def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> tuple[int, Iterator[tuple[tuple, int, int]]]:
+    """The common denominator ``D`` of the stored decision DAG's move
+    probabilities, and every move as ``(visited, move, D * probability of
+    reaching the state and taking the move)``, parents before children.
+
+    With ``L`` the lcm of every weight's denominator, ``D = L**(n-1)``.  A
+    state with a move left has taken at most n-2 moves, so its integer mass
+    is a multiple of ``L`` and each move's share is exact."""
     records: list = []  # (visited, edges with child indices); children first, the root last
 
     def record(state, edges):
@@ -95,14 +116,29 @@ def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> Iterator[tuple[tup
         return len(records) - 1
 
     _expand(policy, g, memoized, record)
-    mass = [Fraction(0)] * len(records)
-    mass[-1] = Fraction(1)
-    for i in reversed(range(len(records))):
-        visited, edges = records[i]
-        for w, p, child in edges:
-            q = mass[i] * p
-            mass[child] += q
-            yield visited, w, q
+    lcm = math.lcm(*{p.denominator for _, edges in records for _, p, _ in edges})
+    total = lcm ** (g.n - 1)
+
+    def moves():
+        mass = [0] * len(records)
+        mass[-1] = total
+        for i in reversed(range(len(records))):
+            visited, edges = records[i]
+            share = mass[i] // lcm
+            for w, p, child in edges:
+                q = share * (p.numerator * (lcm // p.denominator))
+                mass[child] += q
+                yield visited, w, q
+
+    return total, moves()
+
+
+def _dot(terms) -> Fraction:
+    """The sum of ``a * b`` over ``terms``, pairs of rationals, as one reduced
+    ``Fraction``: the products are summed as integers over the lcm of their denominators."""
+    dens = [a.denominator * b.denominator for a, b in terms]
+    lcm = math.lcm(*dens)
+    return Fraction(sum(a.numerator * b.numerator * (lcm // den) for (a, b), den in zip(terms, dens)), lcm)
 
 
 def exact_expected_pos(
@@ -121,7 +157,7 @@ def exact_expected_pos(
 
     def value(state, edges):
         k = len(state.visited)
-        return sum((p * (k if child is None else child) for _, p, child in edges), Fraction(0))
+        return _dot([(p, k if child is None else child) for _, p, child in edges])
 
     return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,)))
 
@@ -147,7 +183,7 @@ def exact_visit_prob(
         return Fraction(0)
 
     def value(state, edges):
-        return sum((p if w == v else p * child for w, p, child in edges if w != t), Fraction(0))
+        return _dot([(p, 1 if w == v else child) for w, p, child in edges if w != t])
 
     return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t)))
 
@@ -162,10 +198,11 @@ def exact_position_table(
     _guard(g.n, node_limit)
 
     def table(p):
-        out = dict.fromkeys(range(g.n), Fraction(0))
-        for visited, w, q in _moves(p, g, True):
+        total, moves = _moves(p, g, True)
+        out = [0] * g.n
+        for visited, w, q in moves:
             out[w] += q * len(visited)
-        return out
+        return {w: Fraction(x, total) for w, x in enumerate(out)}
 
     return componentwise(policy, table)
 
@@ -182,11 +219,12 @@ def exact_visit_table(
     _guard(g.n, node_limit)
 
     def table(p):
-        out = {(v, t): Fraction(0) for t in range(g.n) for v in range(g.n) if v != t}
-        for visited, t, q in _moves(p, g, True):
+        total, moves = _moves(p, g, True)
+        out = {(v, t): 0 for t in range(g.n) for v in range(g.n) if v != t}
+        for visited, t, q in moves:
             for v in visited:
                 out[v, t] += q
-        return out
+        return {pair: Fraction(x, total) for pair, x in out.items()}
 
     return componentwise(policy, table)
 
@@ -201,7 +239,8 @@ def episode_distribution(
     _guard(g.n, node_limit)
 
     def sequences(p):
-        leaves = {visited + (w,): q for visited, w, q in _moves(p, g, False) if len(visited) == g.n - 1}
+        total, moves = _moves(p, g, False)
+        leaves = {visited + (w,): Fraction(q, total) for visited, w, q in moves if len(visited) == g.n - 1}
         return leaves or {(g.source,): Fraction(1)}  # only a one-node graph has no move
 
     return componentwise(policy, sequences)

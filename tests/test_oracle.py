@@ -34,6 +34,8 @@ from hideseek.seeker import (
     SearchState,
     BoundedDFSPolicy,
     DFSPolicy,
+    LabelOrderPolicy,
+    MixturePolicy,
     battery_policies,
     execute,
     sigma_star,
@@ -64,6 +66,11 @@ class TestExpectedPos:
         with pytest.raises(TooLarge):
             exact_expected_pos(DFSPolicy(), g, 4)
         assert exact_expected_pos(DFSPolicy(), g, 4, node_limit=None, memoized=True) == Fraction(15, 2)
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    def test_walk_deeper_than_the_recursion_limit(self, memoized):
+        """One decision per visit on a 2,000-node path: the walk's depth is not Python's stack depth."""
+        assert exact_expected_pos(DFSPolicy(), line(2000), 1999, node_limit=None, memoized=memoized) == 1999
 
 
 class TestVisitProb:
@@ -295,11 +302,18 @@ def test_a_move_off_the_frontier_is_refused_by_every_engine(walk):
 
 @pytest.mark.parametrize("walk", [
     lambda g: exact_expected_pos(sigma_star(2), g, 7, memoized=True),
+    lambda g: exact_expected_pos(sigma_star(2), g, 7),
     lambda g: exact_visit_prob(DFSPolicy(), g, 3, 7, memoized=True),
+    lambda g: exact_visit_prob(sigma_star(2, pointwise=True), g, 3, 7),
     lambda g: exact_position_table(DFSPolicy(), g),
     lambda g: exact_visit_table(AdjustedDFSPolicy(), g),
+    lambda g: episode_distribution(sigma_star(2, pointwise=True), g),
+    lambda g: exact_position_table(DFSPolicy(), line(1500), node_limit=None),
+    lambda g: exact_expected_pos(DFSPolicy(), line(1500), 1499, node_limit=None, memoized=True),
     lambda g: reachable_observations(DFSPolicy(), g, lambda state, moves: None),
-], ids=["expected_pos", "visit_prob", "position_table", "visit_table", "observations"])
+], ids=["expected_pos", "expected_pos_sequence_keyed", "visit_prob", "visit_prob_sequence_keyed",
+        "position_table", "visit_table", "episodes", "deep_position_table", "deep_expected_pos",
+        "observations"])
 def test_walks_leave_no_reference_cycle(walk):
     """A walk's memo, stored DAG or search state is freed on return, not left to the cycle collector."""
     g = palm_tree(8, 3)
@@ -332,3 +346,65 @@ def test_position_table_matches_sequence_keyed_targets(g, d):
     for policy in battery_policies(d):
         table = exact_position_table(policy, g)
         assert table == {h: exact_expected_pos(policy, g, h, memoized=False) for h in range(g.n)}
+
+
+def brute_sequences(policy, g):
+    """Every seeking sequence of ``policy`` on ``g`` with its probability: a
+    plain recursive enumeration with ``Fraction`` products, an upfront mixture
+    taken per component, and no state merged or folded."""
+    if isinstance(policy, MixturePolicy) and not policy.pointwise:
+        out = {}
+        for weight, component in policy.components:
+            for seq, prob in brute_sequences(component, g).items():
+                out[seq] = out.get(seq, 0) + weight * prob
+        return out
+    out = {}
+    state = SearchState(g)
+
+    def walk(prob):
+        if len(state.visited) == g.n:
+            out[tuple(state.visited)] = prob
+            return
+        for w, p in policy.distribution(state):
+            state.push(w)
+            walk(prob * p)
+            state.pop()
+
+    walk(Fraction(1))
+    return out
+
+
+def assert_oracle_matches_brute(policy, g):
+    sequences = brute_sequences(policy, g)
+    assert sum(sequences.values()) == 1
+    where = {seq: {v: i for i, v in enumerate(seq)} for seq in sequences}
+    positions = {h: sum(prob * where[seq][h] for seq, prob in sequences.items()) for h in range(g.n)}
+    before = {(v, t): sum(prob for seq, prob in sequences.items() if where[seq][v] < where[seq][t])
+              for v, t in itertools.permutations(range(g.n), 2)}
+    label = (policy.identifier, sorted(g.edges))
+    assert episode_distribution(policy, g) == sequences, label
+    assert exact_position_table(policy, g) == positions, label
+    assert exact_visit_table(policy, g) == before, label
+    for h in range(g.n):
+        for memoized in (False, True):
+            assert exact_expected_pos(policy, g, h, memoized=memoized) == positions[h], (label, h)
+    for (v, t), prob in before.items():
+        for memoized in (False, True):
+            assert exact_visit_prob(policy, g, v, t, memoized=memoized) == prob, (label, v, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(at_most_one_cycle(max_n=7), st.integers(1, 3))
+def test_every_walk_matches_brute_sequences(g, d):
+    """The integer folds and mass pushes give the values of a plain enumeration,
+    for the battery (deterministic label orders among it) and pointwise
+    sigma_star, whose weights have denominators 8k."""
+    for policy in battery_policies(d) + [sigma_star(d, pointwise=True)]:
+        assert_oracle_matches_brute(policy, g)
+
+
+@pytest.mark.parametrize("policy", [DFSPolicy(), LabelOrderPolicy(lowest=False),
+                                    sigma_star(2), sigma_star(2, pointwise=True)],
+                         ids=lambda p: p.identifier)
+def test_one_node_graph_matches_brute_sequences(policy):
+    assert_oracle_matches_brute(policy, from_edges(1, []))
