@@ -35,7 +35,7 @@ from functools import cache
 from typing import Iterable
 
 from .errors import NotATree, PreconditionViolated
-from .graphs import Graph, PathProfile, cached_profiles, path_profiles
+from .graphs import Graph, PathProfile, cached_profiles, check_node, path_profiles
 from .hider import BenefitFunction
 from .seeker import SIGMA_STAR_WEIGHTS, check_bound
 
@@ -102,15 +102,13 @@ def tree_dfs_expected_positions(g: Graph, s: int, targets: Iterable[int] | None 
     """
     if not g.is_tree():
         raise NotATree(f"graph has {g.edge_count} edges over {g.n} nodes")
+    targets = range(g.n) if targets is None else list(targets)
+    for what, x in [("source", s), *(("target", t) for t in targets)]:
+        check_node(g.n, x, what)
     # not cached_profiles: the lemma1 suite visits each tree once, so a kept
     # profile would never be read again
     prof = path_profiles(g, s)
-    size = [1] * g.n
-    for v, u in reversed(prof.parent.items()):  # BFS order reversed: children before parents
-        size[u] += size[v]
-    if targets is None:
-        targets = range(g.n)
-    return [Fraction(g.n + prof.distance(t) - size[t], 2) for t in targets]
+    return [Fraction(g.n + prof.distance(t) - prof.size[t], 2) for t in targets]
 
 
 def tree_dfs_expected_position(g: Graph, s: int, t: int) -> Fraction:
@@ -145,9 +143,9 @@ def _target_class(g: Graph, prof: PathProfile, t: int, v: int) -> str:
         raise PreconditionViolated("nodes-not-distinct", f"t = v = {t}")
     if prof.cycle is not None and not (g.is_leaf(t) or t in prof.cycle_nodes):
         raise PreconditionViolated("target-not-leaf-or-cycle", f"t = {t}")
-    if v in prof.cut_nodes(t):
+    if prof.on_every_path(v, t):
         raise PreconditionViolated("v-on-every-target-path", f"v = {v}")
-    if t in prof.cut_nodes(v):
+    if prof.on_every_path(t, v):
         raise PreconditionViolated("target-on-every-v-path", f"t = {t}, v = {v}")
     if t in prof.single_path:
         return "gate" if t in prof.through_entrance else "free"
@@ -226,13 +224,13 @@ def _dfs_d_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: i
             # Both nodes one-short with one on the other's short path share the
             # entrance successor, so the visit order is forced rather than an
             # even coin; the tables do not cover them.
-            if {t, v} <= sets.one_short and (v in prof.shortest_path(t) or t in prof.shortest_path(v)):
+            if {t, v} <= sets.one_short and (prof.on_path(v, t) or prof.on_path(t, v)):
                 _no_row("dfs_d", "aligned one-short cycle pair (forced order)")
             return "dfs_d:cycle-pair"
         _no_row("dfs_d", "target on the cycle, v off it")
     # target strictly behind the cycle (and within d, so one- or two-short)
     if v in prof.cycle_nodes:
-        if t in sets.one_short and v in prof.shortest_path(t):
+        if t in sets.one_short and prof.on_path(v, t):
             return "dfs_d:behind-target:v-on-short-path"
         if v in sets.two_short:
             return "dfs_d:behind-target:v-two-short"
@@ -245,7 +243,7 @@ def _dfs_d_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: i
     if cycle_fully_short:
         if not t_short and v_short:
             # t's path within d is its only one: does v's exit lie on it?
-            if prof.anchor[v] in prof.shortest_path(t):
+            if prof.on_path(prof.anchor[v], t):
                 return "dfs_d:both-behind:reachable:exit-on-path"
             return "dfs_d:both-behind:reachable:exit-off-path"
         if t_short and v_short:
@@ -269,10 +267,14 @@ def _mixture_row(labels: tuple[str, ...]) -> PairwiseCaseResult:
     return PairwiseCaseResult(probability, "sigma_star:" + "|".join(labels))
 
 
-def _check_strategy(strategy: str, d: int | None) -> None:
+def _checked_profile(strategy: str, d: int | None, g: Graph, s: int, *nodes: int) -> PathProfile:
+    """The profile from ``s``, once the strategy, its bound, ``s`` and ``nodes`` (t, v) are checked."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     check_bound(strategy, d)
+    for what, x in zip(("source", "target", "v"), (s, *nodes)):
+        check_node(g.n, x, what)
+    return cached_profiles(g, s)
 
 
 def pairwise_probability(
@@ -286,10 +288,10 @@ def pairwise_probability(
     """Exact probability that ``v`` precedes the hiding node ``t``.
 
     Raises :class:`PreconditionViolated` (with the failed clause) outside the
-    table's domain; ``ValueError`` before that for a bound ``d`` the policy refuses.
+    table's domain; ``ValueError`` before that for a bound ``d`` the policy refuses,
+    and :class:`NodeOutOfRange` for a node outside the graph.
     """
-    _check_strategy(strategy, d)
-    prof = cached_profiles(g, s)
+    prof = _checked_profile(strategy, d, g, s, t, v)
     t_class = _target_class(g, prof, t, v)
     if strategy == "sigma_star":
         # dfs_d first: a target or cycle beyond d refuses as dfs_d does
@@ -311,21 +313,20 @@ def expected_position_from_tables(
     """Expected position of ``t`` as the sum of pairwise probabilities.
 
     Nodes on every source->t path contribute 1; nodes reachable only through
-    ``t`` contribute 0 (expanding search cannot reach them earlier).
+    ``t`` contribute 0 (expanding search cannot reach them earlier).  A refused
+    pair refuses the target, with the clause of the first refused ``v`` in node order.
     """
-    _check_strategy(strategy, d)
-    prof = cached_profiles(g, s)
-    anchors = prof.cut_nodes(t)
-    total = Fraction(len(anchors) - 1)
-    for v in g.node_set - anchors:
-        if t in prof.cut_nodes(v):
-            continue
-        total += pairwise_probability(strategy, g, s, t, v, d).probability
+    prof = _checked_profile(strategy, d, g, s, t)
+    total = Fraction(0)
+    for v in range(g.n):
+        if not prof.on_every_path(t, v):  # skip t itself and the nodes only t leads to
+            total += 1 if prof.on_every_path(v, t) else pairwise_probability(strategy, g, s, t, v, d).probability
     return total
 
 
 def admitted_pairs(strategy: str, g: Graph, s: int, d: int | None = None):
     """``(t, v, answer)`` for every ordered pair the table admits, in node order."""
+    _checked_profile(strategy, d, g, s)
     for t in range(g.n):
         for v in range(g.n):
             if v == t:

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import STRATEGIES, expected_position_from_tables, tree_dfs_expected_position
+from .analysis import STRATEGIES, expected_position_from_tables
 from .errors import HideSeekError
 from .graphs import Graph, check_node, graph_from_json, graph_to_json
 from .hider import HiderStrategy, all_trees, example1_graph, example2_graph, palm_tree
@@ -86,10 +86,7 @@ def _evaluate_row(g: Graph, spec: dict) -> str:
         if strategy == "sigma_star" and spec["pointwise"]:
             raise ValueError("the closed forms cover the upfront sigma_star mixture only, "
                              "not the pointwise one")
-        if strategy == "dfs" and g.is_tree():
-            value = tree_dfs_expected_position(g, g.source, target)
-        else:
-            value = expected_position_from_tables(strategy, g, g.source, target, d)
+        value = expected_position_from_tables(strategy, g, g.source, target, d)
         return f"{instance},{strategy},{target},closed,{value}"
     policy = policy_from_id(strategy, d=d, pointwise=spec["pointwise"])
     if mode == "exact":

@@ -10,8 +10,9 @@ its memoized ``cached_profiles``) answers every simple-path question the
 engines ask from one breadth-first search from the source: on a graph with at
 most one cycle each node has one or two simple paths, and both follow from
 the BFS distances, the cycle's entrance and the node's anchor on the cycle.
-The search tree also gives the cycle: the one edge it leaves out closes it,
-and the two ends of that edge climb the tree to meet at the entrance.
+The search tree's subtree sizes and preorder places tell in constant time
+whether a node is on a path; the one edge the tree leaves out closes the
+cycle, and its two ends climb the tree to meet at the entrance.
 ``must_pass``, ``simple_path_counts`` and ``closed_subgraph`` are brute,
 definitional references that the tests and benchmarks check it against.
 ``graph_from_json`` checks a document's shape and raises
@@ -234,40 +235,34 @@ class BoundedClassSets:
 class PathProfile:
     """Simple-path structure from a fixed source in a <=1-cycle graph.
 
-    Built from one breadth-first search from the source: ``parent`` is its
-    shortest-path tree, in visiting order, and the one edge that tree leaves
-    out closes the ``cycle``.  ``lengths[v]`` holds the sorted
-    lengths of all simple source->v paths: one entry for nodes the cycle does
-    not split, two for the nodes whose paths leave the cycle at an ``anchor``
-    other than the ``entrance``, where the two arcs round the cycle differ.
+    Built from one breadth-first search from the source: its shortest-path
+    tree answers ``on_path`` and ``on_every_path``, and the one edge it leaves
+    out closes the ``cycle``.  ``lengths[v]`` holds the sorted lengths of all
+    simple source->v paths: one entry for nodes the cycle does not split, two
+    for the nodes whose paths leave the cycle at an ``anchor`` other than the
+    ``entrance``, where the two arcs round the cycle differ.
     """
 
-    source: int
     cycle: Cycle | None
     lengths: dict[int, tuple[int, ...]]
     anchor: dict[int, int]          # last cycle node on both paths of each two-path node
     entrance: int | None            # cycle node closest to the source
-    parent: dict[int, int]          # BFS predecessor of every other node, in BFS order
+    size: dict[int, int]            # node count of each node's subtree in the BFS tree
+    first: dict[int, int]           # each node's place in a preorder of the BFS tree
 
     def distance(self, v: int) -> int:
         return self.lengths[v][0]
 
-    def shortest_path(self, v: int) -> tuple[int, ...]:
-        """A shortest source->v path; the only path of length <= d when just one fits d."""
-        path = [v]
-        while path[-1] != self.source:
-            path.append(self.parent[path[-1]])
-        return tuple(reversed(path))
+    def on_path(self, x: int, v: int) -> bool:
+        """Whether ``x`` is on the tree's source->v path (a shortest one, and the only
+        one within d when just one fits d): ``v``'s place falls in ``x``'s subtree's."""
+        return 0 <= self.first[v] - self.first[x] < self.size[x]
 
-    def cut_nodes(self, v: int) -> frozenset[int]:
-        """Nodes on every source->v path, both ends included.
-
-        That is the shortest path without the cycle nodes it merely crosses:
-        every path enters the cycle at the entrance and leaves it at ``v``'s
-        anchor (``v`` itself on the cycle), going either way round between.
-        """
-        keep = (self.entrance, self.anchor.get(v, v))
-        return frozenset(x for x in self.shortest_path(v) if x not in self.cycle_nodes or x in keep)
+    def on_every_path(self, x: int, v: int) -> bool:
+        """Whether ``x`` is on every source->v path: each enters the cycle at the entrance
+        and leaves it at ``v``'s anchor (``v`` on the cycle), going either way round."""
+        return self.on_path(x, v) and (
+            x not in self.cycle_nodes or x == self.entrance or x == self.anchor.get(v, v))
 
     def bounded_sets(self, bound: int) -> BoundedClassSets:
         cache = self.__dict__.setdefault("_bounded_cache", {})
@@ -301,11 +296,7 @@ class PathProfile:
         """Single-path nodes whose unique path passes the cycle entrance."""
         if self.entrance is None:
             return frozenset()
-        gate = {self.entrance}
-        for v, u in self.parent.items():  # BFS order: a parent comes before its children
-            if u in gate and v not in self.anchor:
-                gate.add(v)
-        return frozenset(gate)
+        return frozenset(v for v in self.single_path if self.on_path(self.entrance, v))
 
 
 def path_profiles(g, s: int) -> PathProfile:
@@ -317,10 +308,20 @@ def path_profiles(g, s: int) -> PathProfile:
     cyc = _tree_cycle(g, dist, parent) if m == n else None
     on_cycle = frozenset() if cyc is None else cyc.node_set
     entrance = None if cyc is None else cyc.order[0]
-    # every cycle node but the entrance has two paths, and hands them on to
-    # the nodes hanging behind it
+    size = dict.fromkeys(dist, 1)
+    for v, u in reversed(parent.items()):  # BFS order reversed: children before parents
+        size[u] += size[v]
+    # BFS order lists a node's children together, and each child's subtree
+    # takes the next block of its parent's preorder places; every cycle node
+    # but the entrance has two paths, and hands them on to the nodes behind it
+    first = {s: 0}
     anchor: dict[int, int] = {}
+    up = place = None
     for v, u in parent.items():
+        if u != up:
+            up, place = u, first[u] + 1
+        first[v] = place
+        place += size[v]
         if v in on_cycle and v != entrance:
             anchor[v] = v
         elif u in anchor:
@@ -330,7 +331,7 @@ def path_profiles(g, s: int) -> PathProfile:
         # the far arc round the cycle is longer by the cycle length less twice the near arc
         lengths[v] = (dist[v], dist[v] + len(cyc) - 2 * (dist[a] - dist[entrance]))
     return PathProfile(
-        source=s, cycle=cyc, lengths=lengths, anchor=anchor, entrance=entrance, parent=parent,
+        cycle=cyc, lengths=lengths, anchor=anchor, entrance=entrance, size=size, first=first,
     )
 
 

@@ -18,9 +18,9 @@ from hideseek.analysis import (
     tree_dfs_expected_position,
 )
 from hideseek.corpus import default_corpus
-from hideseek.errors import MultipleCycles, NotATree, PreconditionViolated
-from hideseek.graphs import from_edges
-from hideseek.hider import BenefitFunction, example1_graph, example2_graph, palm_tree
+from hideseek.errors import MultipleCycles, NodeOutOfRange, NotATree, PreconditionViolated
+from hideseek.graphs import from_edges, must_pass
+from hideseek.hider import BenefitFunction, example1_graph, example2_graph, palm_tree, tree_classes
 from hideseek.oracle import exact_expected_pos, exact_visit_prob, exact_visit_table
 from hideseek.seeker import (
     SIGMA_STAR_WEIGHTS,
@@ -187,6 +187,27 @@ class TestPairwisePreconditions:
         with pytest.raises(MultipleCycles):
             pairwise_probability("dfs", g, 0, 4, 1)
 
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(lambda g: expected_position_from_tables("dfs", g, 0, 99), "target 99",
+                     id="expected-target"),
+        pytest.param(lambda g: expected_position_from_tables("dfs", g, -1, 3), "source -1",
+                     id="expected-source"),
+        pytest.param(lambda g: pairwise_probability("dfs", g, 0, 99, 5), "target 99",
+                     id="pairwise-target"),
+        pytest.param(lambda g: pairwise_probability("dfs", g, 0, 3, 99), "v 99", id="pairwise-v"),
+        pytest.param(lambda g: pairwise_probability("dfs", g, 10, 3, 5), "source 10",
+                     id="pairwise-source"),
+        pytest.param(lambda g: tree_dfs_expected_position(palm_tree(5, 2), 0, 7), "target 7",
+                     id="tree-target"),
+        pytest.param(lambda g: tree_dfs_expected_position(palm_tree(5, 2), 5, 1), "source 5",
+                     id="tree-source"),
+        pytest.param(lambda g: pairwise_csv_rows("x", "dfs", g, 42), "source 42", id="csv-source"),
+    ])
+    def test_node_out_of_range(self, call, message):
+        g, _ = example1_graph(10, 3)
+        with pytest.raises(NodeOutOfRange, match=message):
+            call(g)
+
     def test_underived_gap_refused(self):
         corpus = {c.name: c for c in default_corpus()}
         inst = corpus["twin_tails"]
@@ -328,9 +349,45 @@ class TestExpectedPosition:
         assert expected_position_from_tables("dfs_d", g, 0, t, 5) == Fraction(35, 3)
 
     def test_tree_matches_closed_form_any_target(self):
-        g = from_edges(7, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6)])
-        for t in range(7):
-            assert expected_position_from_tables("dfs", g, 0, t) == tree_dfs_expected_position(g, 0, t)
+        for n in range(2, 8):
+            for g, _ in tree_classes(n):
+                for t in range(n):
+                    assert expected_position_from_tables("dfs", g, 0, t) == \
+                        tree_dfs_expected_position(g, 0, t), (g.edges, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(at_most_one_cycle(max_n=8))
+    def test_sum_matches_brute_reference(self, g):
+        """Each target's value is the pairwise sum over the nodes ``must_pass``
+        leaves in play, or the refusal of the first such node in node order."""
+        cuts = [must_pass(g, 0, x) for x in range(g.n)]
+        bounds = {"dfs": [None], "adfs": [None], "dfs_d": range(g.n), "sigma_star": range(1, g.n)}
+        for strategy, ds in bounds.items():
+            for d in ds:
+                for t in range(g.n):
+                    want, refusal = Fraction(len(cuts[t]) - 1), None
+                    for v in range(g.n):
+                        if v in cuts[t] or t in cuts[v]:
+                            continue
+                        try:
+                            want += pairwise_probability(strategy, g, 0, t, v, d).probability
+                        except PreconditionViolated as exc:
+                            refusal = exc.clause
+                            break
+                    if refusal is None:
+                        assert expected_position_from_tables(strategy, g, 0, t, d) == want
+                    else:
+                        with pytest.raises(PreconditionViolated) as err:
+                            expected_position_from_tables(strategy, g, 0, t, d)
+                        assert err.value.clause == refusal, (strategy, d, t)
+
+    def test_large_examples_match_paper(self):
+        # the paper's values: 2/3 (n + d/2 - 1) for dfs on Example 1, and
+        # 2/3 (n + 1/2) for dfs_d on Example 2
+        g, t = example1_graph(20_000, 3)
+        assert expected_position_from_tables("dfs", g, 0, t) == Fraction(2, 3) * (20_000 + Fraction(3, 2) - 1)
+        g, t = example2_graph(2_000, 5)
+        assert expected_position_from_tables("dfs_d", g, 0, t, 5) == Fraction(2, 3) * (2_000 + Fraction(1, 2))
 
 
 class TestBound:

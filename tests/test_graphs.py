@@ -192,33 +192,42 @@ class TestMustPass:
             assert len(must_pass(g, 0, t)) == bfs_distances(g, 0)[t] + 1
 
 
+def on_path_nodes(g, prof, v):
+    return {x for x in range(g.n) if prof.on_path(x, v)}
+
+
+def on_every_path_nodes(g, prof, v):
+    return {x for x in range(g.n) if prof.on_every_path(x, v)}
+
+
 class TestProfilePathQueries:
-    """``PathProfile.cut_nodes`` and ``shortest_path`` against the brute references."""
+    """``PathProfile.on_path`` and ``on_every_path`` against the brute references."""
 
     def test_even_cycle_antipode(self):
-        prof = path_profiles(even_cycle(6), 0)
-        assert prof.cut_nodes(3) == frozenset({0, 3})
-        assert len(prof.shortest_path(3)) == 4
+        g = even_cycle(6)
+        prof = path_profiles(g, 0)
+        assert on_every_path_nodes(g, prof, 3) == {0, 3}
+        assert len(on_path_nodes(g, prof, 3)) == 4
 
     def test_example1_target_path(self):
         g, t = example1_graph(10, 3)
         prof = path_profiles(g, 0)
-        assert prof.shortest_path(t) == (0, 1, 2, 3)
-        assert prof.cut_nodes(t) == frozenset({0, 1, 2, 3})
+        assert on_path_nodes(g, prof, t) == {0, 1, 2, 3}
+        assert on_every_path_nodes(g, prof, t) == {0, 1, 2, 3}
 
     @settings(max_examples=150, deadline=None)
     @given(at_most_one_cycle(max_n=9))
     def test_match_brute_on_random_graphs(self, g):
         prof = path_profiles(g, 0)
         for t in range(g.n):
-            assert prof.cut_nodes(t) == must_pass(g, 0, t)
+            assert on_every_path_nodes(g, prof, t) == must_pass(g, 0, t)
         for d in range(g.n):
             unique = [t for t, k in simple_path_counts(g, 0, d).items() if k == 1]
             for x in range(g.n):
                 through = simple_path_counts(g, 0, d, through=x)
                 for t in unique:
                     # t's one path within d passes x exactly when x is on its shortest path
-                    assert (x in prof.shortest_path(t)) == (through[t] == 1), (d, x, t)
+                    assert prof.on_path(x, t) == (through[t] == 1), (d, x, t)
 
 
 class TestProfileAgainstBrutePaths:
@@ -240,7 +249,12 @@ class TestProfileAgainstBrutePaths:
         else:
             assert prof.entrance is None
         for v, ps in paths.items():
-            assert prof.distance(v) == len(prof.shortest_path(v)) - 1 == min(len(p) for p in ps) - 1
+            shortest = min(len(p) for p in ps)
+            # the tree path to v is one of its shortest paths, and v's subtree
+            # holds the nodes whose tree path passes v
+            assert on_path_nodes(g, prof, v) in [set(p) for p in ps if len(p) == shortest]
+            assert prof.distance(v) == shortest - 1
+            assert prof.size[v] == sum(prof.on_path(v, w) for w in range(g.n))
             if len(ps) == 2:
                 assert {[x for x in p if x in cyc][-1] for p in ps} == {prof.anchor[v]}
             else:
@@ -432,7 +446,7 @@ class TestEntranceExit:
         g, _ = example1_graph(10, 3)
         prof = path_profiles(g, 0)
         assert prof.entrance == 0 and 2 not in prof.anchor
-        assert set(prof.shortest_path(2)) & prof.cycle.node_set == {0}
+        assert {x for x in prof.cycle.node_set if prof.on_path(x, 2)} == {0}
 
 
 class TestClosedSubgraph:
