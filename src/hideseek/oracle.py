@@ -15,6 +15,22 @@ quantities fold during the expansion and stop at their targets; whole tables
 always merge, store the DAG and push probability mass through it from the
 root.  Upfront mixtures are always enumerated componentwise and recombined by
 their weights.  No table is kept once its question is answered.
+
+A memoized single-target walk also merges states that differ by swapping
+false twins (nodes with the same neighbours), when both of these hold:
+
+1. the policy is ``label_free`` (``dfs``, ``dfs_d``, ``adfs``,
+   ``breadth_first``, and a pointwise mixture of only those), and
+2. the fold reads no node label but its fixed nodes: the source and the
+   target ``h`` of :func:`exact_expected_pos`, or ``v`` and ``t`` of
+   :func:`exact_visit_prob`.
+
+Such a swap is an automorphism that fixes every node the fold reads, so the
+merged states have equal values; the state key then counts the visits per
+twin class (see :func:`hideseek.seeker.twin_classes`).  ``palm_tree(n, d)``
+thus takes n - 1 states for a crown target instead of 2**(n - d - 1) + d - 1.
+The tables record the visited nodes by label, so they keep the plain
+visited mask as their key.
 """
 from __future__ import annotations
 
@@ -26,8 +42,10 @@ from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
 from .hider import BenefitFunction, HiderStrategy, tree_classes
 from .seeker import (Distribution, MixturePolicy, SearchState, SeekerPolicy, battery_policies,
-                     checked_distribution)
+                     checked_distribution, twin_classes)
 
+# twin merging makes larger palms cheap, but the limit stays: the Monte Carlo
+# rows' exact column and the lemma2 suite's cap read it
 DEFAULT_NODE_LIMIT = 12
 
 
@@ -43,15 +61,13 @@ def componentwise(policy: SeekerPolicy, quantity: Callable):
         return quantity(policy)
     parts = [(w, quantity(p)) for w, p in policy.components]
     if not isinstance(parts[0][1], dict):
-        return sum((w * part for w, part in parts), Fraction(0))
-    merged: dict = {}
-    for w, part in parts:
-        for key, value in part.items():
-            merged[key] = merged.get(key, Fraction(0)) + w * value
-    return merged
+        return _dot(parts)
+    keys = dict.fromkeys(key for _, part in parts for key in part)
+    return {key: _dot([(w, part.get(key, 0)) for w, part in parts]) for key in keys}
 
 
-def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop=()):
+def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop=(),
+            merge_twins: bool = False):
     """Fold over the decision tree of ``policy`` on ``g``, children first.
 
     ``fold(state, edges)`` runs once per distinct state, with ``state`` at that
@@ -59,12 +75,16 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
     what the fold gave for the state the move leads to, or ``None`` for a move
     onto a node in ``stop``, which is not expanded.  With ``memoized``, states
     with equal ``policy.state_key`` are expanded once and share that value.
+    ``merge_twins`` says that the fold reads no node label but the source's
+    and those in ``stop``; with ``memoized`` and a ``label_free`` policy, the
+    state key then counts false twins alike (the module docstring says why).
     A move off the frontier raises ``PolicyViolation``.  Returns the root's value.
 
     The walk keeps its own stack, one frame per visit, so its depth is not
     bounded by Python's recursion limit.
     """
-    state = SearchState(g)
+    twins = memoized and merge_twins and policy.label_free
+    state = SearchState(g, classes=twin_classes(g, (g.source, *stop)) if twins else None)
     memo: dict = {}
     # the states on the current visit sequence, root first, each as
     # (memo key, its moves not yet taken, its edges so far, weight of the move into it)
@@ -159,7 +179,7 @@ def exact_expected_pos(
         k = len(state.visited)
         return _dot([(p, k if child is None else child) for _, p, child in edges])
 
-    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,)))
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,), merge_twins=True))
 
 
 def exact_visit_prob(
@@ -185,7 +205,7 @@ def exact_visit_prob(
     def value(state, edges):
         return _dot([(p, 1 if w == v else child) for w, p, child in edges if w != t])
 
-    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t)))
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t), merge_twins=True))
 
 
 def exact_position_table(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import insort
+from bisect import bisect_right, insort
 from itertools import repeat
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,18 +50,27 @@ class SearchState:
     revealer's length + 1).  A view that holds the cycle holds every simple
     source path to each of its nodes, so the graph's own profile, restricted
     to the view, is the view's.
+
+    ``key`` is an integer that each visit of ``w`` raises by ``1 << shift[w]``,
+    one add per move.  With no ``classes`` the shift of ``w`` is ``w`` and
+    ``key`` is the visited mask; ``classes`` is ``(shift, canon)`` as from
+    :func:`twin_classes`, where ``key`` counts the visits per class of false
+    twins and ``canon`` maps each node to its class's representative.
     """
 
-    __slots__ = ("g", "visited", "visited_set", "frontier", "active_stack",
-                 "_open", "_seen", "_depth", "_rank", "_inner", "_view_edges")
+    __slots__ = ("g", "visited", "visited_set", "frontier", "active_stack", "key", "canon",
+                 "_shift", "_open", "_seen", "_depth", "_rank", "_inner", "_view_edges")
 
-    def __init__(self, g: Graph, visited: Iterable[int] | None = None):
+    def __init__(self, g: Graph, visited: Iterable[int] | None = None,
+                 classes: tuple[Sequence[int], Sequence[int]] | None = None):
         n = g.n
         self.g = g
         self.visited: list[int] = []
         self.visited_set: set[int] = set()
         self.frontier: set[int] = {g.source}
         self.active_stack: list[int] = []  # visited nodes with unvisited neighbours, in visit order
+        self.key = 0
+        self._shift, self.canon = (range(n), range(n)) if classes is None else classes
         self._open = [0] * n   # unvisited neighbours of each visited node
         self._seen = [0] * n   # visited neighbours of each unvisited node
         self._depth = [0] * n  # path length in the view while the view is a tree
@@ -78,6 +87,7 @@ class SearchState:
         self._rank[w] = len(self.visited)
         self.visited.append(w)
         visited_set.add(w)
+        self.key += 1 << self._shift[w]
         fresh = 0
         for x in self.g.adj[w]:
             if x in visited_set:
@@ -101,6 +111,7 @@ class SearchState:
         w = self.visited.pop()
         visited_set, open_, seen = self.visited_set, self._open, self._seen
         visited_set.remove(w)
+        self.key -= 1 << self._shift[w]
         if open_[w]:
             self.active_stack.pop()  # the latest visit sits on top
         fresh = open_[w] = self._rank[w] = 0
@@ -141,6 +152,28 @@ class SearchState:
         return {w for w in self.frontier if depth[w] <= d}
 
 
+def twin_classes(g: Graph, fixed: Iterable[int]) -> tuple[list[int], list[int]]:
+    """``(shift, canon)`` for a :class:`SearchState` key that counts false twins alike.
+
+    False twins are nodes with the same neighbours, so swapping two of them
+    is an automorphism of ``g``.  Each node in ``fixed`` is a class of its
+    own.  A class of k nodes gets a bit field wide enough to count to k,
+    starting at the ``shift`` of each member, and ``canon`` maps each member
+    to the class's lowest node.
+    """
+    fixed = set(fixed)
+    classes: dict = {}
+    for v in range(g.n):  # a fixed node's int never equals an adjacency tuple
+        classes.setdefault(v if v in fixed else g.adj[v], []).append(v)
+    shift, canon = [0] * g.n, [0] * g.n
+    width = 0
+    for members in classes.values():
+        for v in members:
+            shift[v], canon[v] = width, members[0]
+        width += len(members).bit_length()
+    return shift, canon
+
+
 def _uniform(nodes) -> Distribution:
     nodes = sorted(nodes)
     if not nodes:
@@ -157,6 +190,10 @@ class SeekerPolicy:
     """
 
     kind: str = "abstract"
+    # True when the policy reads no node label, only the graph's structure,
+    # the source and the visit order: an automorphism that fixes the source
+    # then maps each state's distribution onto its image's
+    label_free: bool = False
 
     @property
     def identifier(self) -> str:
@@ -177,8 +214,11 @@ class _RecencyPolicy(SeekerPolicy):
     """Shared collapse for policies that read the sequence only through the
     ordered stack of still-active nodes."""
 
+    label_free = True
+
     def state_key(self, state: SearchState) -> Hashable:
-        return (frozenset(state.visited_set), tuple(state.active_stack))
+        canon = state.canon
+        return (state.key, tuple([canon[x] for x in state.active_stack]))
 
 
 class DFSPolicy(_RecencyPolicy):
@@ -281,7 +321,7 @@ class LabelOrderPolicy(SeekerPolicy):
 
     def state_key(self, state: SearchState) -> Hashable:
         # reads only the visited set, not the order
-        return (frozenset(state.visited_set),)
+        return (state.key,)
 
 
 class BreadthPreferringPolicy(_RecencyPolicy):
@@ -309,6 +349,7 @@ class MixturePolicy(SeekerPolicy):
             raise ValueError("mixture weights must sum to 1")
         self.kind = kind
         self.pointwise = pointwise
+        self.label_free = all(p.label_free for _, p in self.components)
         self.thresholds = cumulative_thresholds(w for w, _ in self.components)
 
     @property
@@ -400,17 +441,25 @@ class Episode:
         return self.sequence.index(h)
 
 
-def draw(dist: Distribution, rng: random.Random) -> int:
+def draw_table(dist: Distribution) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The moves of ``dist`` and the running float sums of their weights.
+
+    The last move's sum is left out: :func:`draw` takes the last move when
+    every other sum is at most the uniform draw, whatever the last sum is."""
     # a running float sum, not cumulative_thresholds: the two differ in the
     # last bit (thirds sum to 0.6666666666666666, the threshold of 2/3 is
     # 0.6666666666666667), so swapping them would change seeded rows
-    r = rng.random()
+    sums = []
     acc = 0.0
-    for v, p in dist:
+    for _, p in dist[:-1]:
         acc += p.numerator / p.denominator
-        if r < acc:
-            return v
-    return dist[-1][0]
+        sums.append(acc)
+    return tuple([v for v, _ in dist]), tuple(sums)
+
+
+def draw(moves: Sequence[int], sums: Sequence[float], rng: random.Random) -> int:
+    """The first move whose running sum exceeds a uniform draw, as :func:`draw_table` gives them."""
+    return moves[bisect_right(sums, rng.random())]
 
 
 def cumulative_thresholds(weights: Iterable[Fraction]) -> tuple[float, ...]:
@@ -462,7 +511,7 @@ def _walk(
     if isinstance(policy, MixturePolicy) and not policy.pointwise:
         policy = pick_by_thresholds(policy.components, policy.thresholds, rng.random())[1]
     # the decision trie of (g, policy): [moves held, {source: root}], where a
-    # node is (checked distribution, {next pick: child node})
+    # node is (moves, running sums, {next pick: child node}), as draw reads them
     trie = [0, {}] if cache is None else cache.setdefault((g, policy.identifier), [0, {}])
     visited = [g.source]
     level = trie[1]
@@ -470,8 +519,8 @@ def _walk(
         node = level.get(visited[-1])
         if node is None:
             break
-        dist, level = node
-        visited.append(draw(dist, rng))
+        moves, sums, level = node
+        visited.append(draw(moves, sums, rng))
     else:
         return visited
     # off the trie, and so for the rest of the episode: one replay, then the
@@ -480,12 +529,12 @@ def _walk(
     state = SearchState(g, visited)
     grow = trie[0] < TRIE_ENTRIES
     while len(visited) < g.n and visited[-1] != stop_at:
-        dist = checked_distribution(policy, state)
+        moves, sums = draw_table(checked_distribution(policy, state))
         if grow:
-            level[visited[-1]] = (dist, {})
-            trie[0] += len(dist)
+            level[visited[-1]] = (moves, sums, {})
+            trie[0] += len(moves)
             grow = False
-        w = draw(dist, rng)
+        w = draw(moves, sums, rng)
         visited.append(w)
         state.push(w)
     return visited

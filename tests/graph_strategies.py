@@ -14,3 +14,24 @@ def at_most_one_cycle(draw, max_n: int):
         edges.add(draw(st.sampled_from(chords)))
     label = draw(st.permutations(range(n)))
     return from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def with_false_twins(draw, max_n: int):
+    """A graph from :func:`at_most_one_cycle` on up to ``max_n`` nodes with
+    false twins (nodes with the same neighbours) added: two or three leaves
+    on one node or, on a tree, a 4-cycle a-u-b-v through one node a, so that
+    u and v share the neighbours a and b; then relabelled at random."""
+    g = draw(at_most_one_cycle(max_n))
+    n, edges = g.n, set(g.edges)
+    a = draw(st.integers(0, n - 1))
+    if g.is_tree() and draw(st.booleans()):
+        u, b, v = n, n + 1, n + 2
+        edges |= {(a, u), (u, b), (b, v), (a, v)}
+        n += 3
+    else:
+        extra = draw(st.integers(2, 3))
+        edges |= {(a, w) for w in range(n, n + extra)}
+        n += extra
+    label = draw(st.permutations(range(n)))
+    return from_edges(n, [(label[u], label[v]) for u, v in edges])

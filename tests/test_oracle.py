@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hideseek import oracle, suites
+from hideseek.corpus import default_corpus
 from hideseek.errors import NodeOutOfRange, PolicyViolation, TooLarge
 from hideseek.graphs import bfs_distances, from_edges
 from hideseek.hider import (
@@ -33,15 +34,17 @@ from hideseek.seeker import (
     AdjustedDFSPolicy,
     SearchState,
     BoundedDFSPolicy,
+    BreadthPreferringPolicy,
     DFSPolicy,
     LabelOrderPolicy,
     MixturePolicy,
     battery_policies,
     execute,
     sigma_star,
+    twin_classes,
 )
 
-from graph_strategies import at_most_one_cycle
+from graph_strategies import at_most_one_cycle, with_false_twins
 
 
 def line(n):
@@ -117,6 +120,83 @@ class TestMemoizedMatchesNaive:
                     naive = exact_visit_prob(policy, g, v, t, memoized=False)
                     memo = exact_visit_prob(policy, g, v, t, memoized=True)
                     assert naive == memo
+
+
+def dfs_or_lowest_label():
+    """A pointwise mixture with a label-order component: it reads labels, so
+    its memoized walks must not merge twins."""
+    return MixturePolicy([(Fraction(1, 2), DFSPolicy()), (Fraction(1, 2), LabelOrderPolicy())],
+                         kind="dfs_or_lowest", pointwise=True)
+
+
+def count_states(monkeypatch):
+    """Count the states each later ``_expand`` folds, into the returned list."""
+    counts = []
+    expand = oracle._expand
+
+    def counting(policy, g, memoized, fold, *args, **kwargs):
+        counts.append(0)
+
+        def counted(state, edges):
+            counts[-1] += 1
+            return fold(state, edges)
+
+        return expand(policy, g, memoized, counted, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_expand", counting)
+    return counts
+
+
+class TestTwinMerging:
+    def test_label_free_policies(self):
+        assert all(p.label_free for p in (DFSPolicy(), BoundedDFSPolicy(2), AdjustedDFSPolicy(),
+                                         BreadthPreferringPolicy(), sigma_star(2, pointwise=True)))
+        assert not any(p.label_free for p in (LabelOrderPolicy(True), LabelOrderPolicy(False),
+                                              dfs_or_lowest_label()))
+
+    def test_classes_of_a_palm_crown(self):
+        g = palm_tree(7, 2)  # source 0, trunk 1, crown leaves 2..6
+        shift, canon = twin_classes(g, (0, 6))
+        assert canon == [0, 1, 2, 2, 2, 2, 6]
+        # the four free leaves share one 3-bit field, which counts to 4
+        assert shift == [0, 1, 2, 2, 2, 2, 5]
+
+    @pytest.mark.parametrize("n", [16, 40, 200])
+    def test_palm_crown_target_expands_at_most_n_states(self, monkeypatch, n):
+        """Crown leaves other than the target differ only by label, so the walk
+        takes one state per trunk node and one per count of crown leaves seen,
+        where a label-keyed walk takes 2**(n - 4) + 2."""
+        counts = count_states(monkeypatch)
+        value = exact_expected_pos(DFSPolicy(), palm_tree(n, 3), n - 1, node_limit=None, memoized=True)
+        assert value == Fraction(n + 3 - 1, 2)
+        assert counts == [n - 1]
+
+    def test_label_reading_mixture_keeps_label_keys(self, monkeypatch):
+        counts = count_states(monkeypatch)
+        g = palm_tree(7, 2)
+        exact_expected_pos(dfs_or_lowest_label(), g, 6, memoized=True)
+        exact_expected_pos(DFSPolicy(), g, 6, memoized=True)
+        # source, trunk, then one state per nonempty set of the free leaves 2..5,
+        # against one per count of them
+        assert counts == [2 + 15, 2 + 4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(with_false_twins(max_n=6), st.integers(1, 3), st.data())
+def test_twin_merged_walks_match_sequence_keyed(g, d, data):
+    """Memoized walks, which merge false twins for label-free policies, give
+    the sequence-keyed values; the battery holds breadth_first, both label
+    orders and upfront sigma_star, pointwise sigma_star merges twins, and the
+    dfs / lowest-label mixture reads labels."""
+    h = data.draw(st.integers(0, g.n - 1), label="h")
+    v, t = data.draw(st.permutations(range(g.n)), label="order")[:2]
+    policies = battery_policies(d) + [sigma_star(d, pointwise=True), dfs_or_lowest_label()]
+    for policy in policies:
+        label = (policy.identifier, sorted(g.edges))
+        assert (exact_expected_pos(policy, g, h, memoized=True)
+                == exact_expected_pos(policy, g, h, memoized=False)), (label, h)
+        assert (exact_visit_prob(policy, g, v, t, memoized=True)
+                == exact_visit_prob(policy, g, v, t, memoized=False)), (label, v, t)
 
 
 class TestEpisodeDistribution:
@@ -202,6 +282,20 @@ class TestBattery:
                                   (palm_tree(oracle.DEFAULT_NODE_LIMIT + 1, 2), 5, Fraction(1, 2))))
         with pytest.raises(TooLarge, match=f"n = {oracle.DEFAULT_NODE_LIMIT + 1} exceeds"):
             adversarial_policy_battery(strategy, 2)
+
+
+def test_mixture_tables_merge_like_fraction_sums():
+    """The integer merge of an upfront mixture's tables gives the plain
+    ``Fraction`` sums of weight times value, key by key and in key order, on
+    every corpus instance's sigma_star visit table."""
+    for inst in default_corpus():
+        policy = sigma_star(inst.d)
+        expected: dict = {}
+        for w, component in policy.components:
+            for pair, value in exact_visit_table(component, inst.graph).items():
+                expected[pair] = expected.get(pair, Fraction(0)) + w * value
+        merged = exact_visit_table(policy, inst.graph)
+        assert list(merged.items()) == list(expected.items()), inst.name
 
 
 def test_tree_oracle_matches_closed_form_exhaustively():

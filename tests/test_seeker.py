@@ -24,6 +24,7 @@ from hideseek.seeker import (
     execute,
     policy_from_id,
     sigma_star,
+    twin_classes,
 )
 
 from graph_strategies import at_most_one_cycle
@@ -84,6 +85,14 @@ class BruteObservation:
 
     def frontier_within(self, d):
         return self.frontier & self.profile.bounded_sets(d).within
+
+    @cached_property
+    def key(self) -> int:
+        return sum(1 << v for v in self.visited)
+
+    @cached_property
+    def canon(self) -> range:
+        return range(self.g.n)
 
 
 def brute(g, visited):
@@ -337,14 +346,22 @@ def _slots(state):
 @given(at_most_one_cycle(max_n=9), st.integers(0, 10_000), st.sampled_from(["dfs", "adfs", "dfs_d"]))
 def test_search_state_matches_brute_observation(g, seed, driver):
     """Along a sampled episode the incremental state reads like the rebuilt view,
-    every policy decides alike on both, and push then pop restores every slot."""
+    every policy decides alike on both, and push then pop restores every slot;
+    a state keyed by twin classes keeps the sum of its visits' class weights."""
     episode = execute(policy_from_id(driver, d=2), g, random.Random(seed))
     state = SearchState(g)
+    shift, canon = classes = twin_classes(g, (g.source,))
+    twins = SearchState(g, classes=classes)
     for k in range(1, g.n):
         if k > 1:
             state.push(episode.sequence[k - 1])
+            twins.push(episode.sequence[k - 1])
         ref = brute(g, episode.sequence[:k])
         assert state.visited == list(ref.visited)
+        assert state.key == ref.key
+        assert state.canon == ref.canon
+        assert twins.key == sum(1 << shift[v] for v in ref.visited)
+        assert DFSPolicy().state_key(twins) == (twins.key, tuple(canon[x] for x in ref.active_stack))
         assert state.frontier == ref.frontier
         assert state.active_stack == ref.active_stack
         assert state.cycle_among_visited == ref.cycle_among_visited
@@ -366,8 +383,14 @@ def test_search_state_matches_brute_observation(g, seed, driver):
         assert before == _slots(SearchState(g, state.visited))  # as if replayed
         for w in sorted(state.frontier):
             state.push(w)
+            assert state.key == before["key"] + (1 << w)
             assert state.pop() == w
+            assert state.key == before["key"]
             assert _slots(state) == before
+            key = twins.key
+            twins.push(w)
+            assert twins.pop() == w
+            assert twins.key == key
 
 
 @settings(max_examples=40, deadline=None)

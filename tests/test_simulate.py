@@ -20,6 +20,7 @@ from hideseek.seeker import (
     battery_policies,
     cumulative_thresholds,
     draw,
+    draw_table,
     execute,
     pick_by_thresholds,
     sample_position,
@@ -219,17 +220,50 @@ def test_float_thresholds_pick_like_exact_sums(raw, draws):
         assert pick_by_thresholds(range(len(weights)), thresholds, r) == _exact_pick(weights, r), r
 
 
+def _scan_pick(dist, r):
+    """The linear running-sum scan that ``draw`` replaced."""
+    acc = 0.0
+    for v, p in dist:
+        acc += p.numerator / p.denominator
+        if r < acc:
+            return v
+    return dist[-1][0]
+
+
+class _Fixed:
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=8),
+       st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+def test_draw_bisects_like_the_linear_scan(raw, draws):
+    """The bisection over stored running sums picks the move the scan picks,
+    at each sum and on either side of it too."""
+    total = sum(raw)
+    dist = tuple((10 + i, Fraction(x, total)) for i, x in enumerate(raw))
+    moves, sums = draw_table(dist)
+    boundary = []
+    acc = 0.0
+    for _, p in dist:
+        acc += p.numerator / p.denominator
+        boundary += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, 1.0)]
+    for r in draws + [b for b in boundary if 0 <= b < 1]:
+        assert draw(moves, sums, _Fixed(r)) == _scan_pick(dist, r), r
+
+
 def test_draw_keeps_its_running_float_sum():
     """``draw`` sums the floats of the weights, which is not the thresholds'
     exact rule: at this draw over uniform thirds the two pick different
     nodes, so moving ``draw`` onto the thresholds would change seeded rows."""
-    class Stub:
-        def random(self):
-            return 0.6666666666666666
-
+    r = 0.6666666666666666
     thirds = tuple((v, Fraction(1, 3)) for v in range(3))
-    assert draw(thirds, Stub()) == 2
-    assert pick_by_thresholds((0, 1, 2), cumulative_thresholds([Fraction(1, 3)] * 3), Stub().random()) == 1
+    assert draw(*draw_table(thirds), _Fixed(r)) == 2
+    assert pick_by_thresholds((0, 1, 2), cumulative_thresholds([Fraction(1, 3)] * 3), r) == 1
 
 
 class TestWorkers:
