@@ -26,6 +26,7 @@ import random
 from bisect import bisect_right, insort
 from itertools import repeat
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
@@ -55,7 +56,9 @@ class SearchState:
     one add per move.  With no ``classes`` the shift of ``w`` is ``w`` and
     ``key`` is the visited mask; ``classes`` is ``(shift, canon)`` as from
     :func:`twin_classes`, where ``key`` counts the visits per class of false
-    twins and ``canon`` maps each node to its class's representative.
+    twins and ``canon`` maps each node to its class's representative.  The
+    sampler, which reads no key, passes all-zero shifts, so its ``key`` is
+    the visit count and no move copies an n-bit integer.
     """
 
     __slots__ = ("g", "visited", "visited_set", "frontier", "active_stack", "key", "canon",
@@ -89,9 +92,9 @@ class SearchState:
         visited_set.add(w)
         self.key += 1 << self._shift[w]
         fresh = 0
-        for x in self.g.adj[w]:
+        nbrs = self.g.adj[w]
+        for x in nbrs:
             if x in visited_set:
-                self._inner += 1
                 open_[x] -= 1
                 if not open_[x]:
                     self.active_stack.remove(x)
@@ -102,6 +105,7 @@ class SearchState:
                     self.frontier.add(x)
                     self._depth[x] = self._depth[w] + 1
         open_[w] = fresh
+        self._inner += len(nbrs) - fresh
         self._view_edges += fresh
         if fresh:
             self.active_stack.append(w)
@@ -174,11 +178,36 @@ def twin_classes(g: Graph, fixed: Iterable[int]) -> tuple[list[int], list[int]]:
     return shift, canon
 
 
+class _Uniform(tuple):
+    """A distribution with equal weights, so :func:`draw_table` reads its
+    running sums from :func:`_uniform_table` instead of its ``Fraction``s."""
+
+    __slots__ = ()
+
+
+# 1/k and the running float sums of k weights 1/k, keyed by k.  Every k is the
+# size of part of one node's neighbourhood, so the table holds at most one
+# entry per k up to the largest degree; a k above UNIFORM_TABLE_K is built
+# afresh on each call instead (all k up to a degree in the thousands would
+# hold millions of floats).
+_UNIFORM_TABLES: dict[int, tuple[Fraction, tuple[float, ...]]] = {}
+UNIFORM_TABLE_K = 256
+
+
+def _uniform_table(k: int) -> tuple[Fraction, tuple[float, ...]]:
+    table = _UNIFORM_TABLES.get(k)
+    if table is None:
+        p = Fraction(1, k)
+        table = (p, draw_table(((0, p),) * k)[1])  # a plain tuple: the generic running sum
+        if k <= UNIFORM_TABLE_K:
+            _UNIFORM_TABLES[k] = table
+    return table
+
+
 def _uniform(nodes) -> Distribution:
-    nodes = sorted(nodes)
     if not nodes:
         raise EmptyFrontier("no eligible node to move to")
-    return tuple(zip(nodes, repeat(Fraction(1, len(nodes)))))
+    return _Uniform(zip(sorted(nodes), repeat(_uniform_table(len(nodes))[0])))
 
 
 class SeekerPolicy:
@@ -239,7 +268,7 @@ class BoundedDFSPolicy(_RecencyPolicy):
         check_bound(self.kind, d)
         self.d = d
 
-    @property
+    @cached_property
     def identifier(self) -> str:
         return f"dfs_d[{self.d}]"
 
@@ -316,8 +345,7 @@ class LabelOrderPolicy(SeekerPolicy):
     def distribution(self, state: SearchState) -> Distribution:
         if not state.frontier:
             raise EmptyFrontier("all nodes visited")
-        pick = min(state.frontier) if self.lowest else max(state.frontier)
-        return ((pick, Fraction(1)),)
+        return _uniform((min(state.frontier) if self.lowest else max(state.frontier),))
 
     def state_key(self, state: SearchState) -> Hashable:
         # reads only the visited set, not the order
@@ -352,7 +380,7 @@ class MixturePolicy(SeekerPolicy):
         self.label_free = all(p.label_free for _, p in self.components)
         self.thresholds = cumulative_thresholds(w for w, _ in self.components)
 
-    @property
+    @cached_property
     def identifier(self) -> str:
         inner = ",".join(f"{w}*{p.identifier}" for w, p in self.components)
         mode = "pointwise" if self.pointwise else "upfront"
@@ -449,6 +477,8 @@ def draw_table(dist: Distribution) -> tuple[tuple[int, ...], tuple[float, ...]]:
     # a running float sum, not cumulative_thresholds: the two differ in the
     # last bit (thirds sum to 0.6666666666666666, the threshold of 2/3 is
     # 0.6666666666666667), so swapping them would change seeded rows
+    if type(dist) is _Uniform:
+        return tuple([v for v, _ in dist]), _uniform_table(len(dist))[1]
     sums = []
     acc = 0.0
     for _, p in dist[:-1]:
@@ -510,33 +540,61 @@ def _walk(
 ) -> list[int]:
     if isinstance(policy, MixturePolicy) and not policy.pointwise:
         policy = pick_by_thresholds(policy.components, policy.thresholds, rng.random())[1]
-    # the decision trie of (g, policy): [moves held, {source: root}], where a
-    # node is (moves, running sums, {next pick: child node}), as draw reads them
-    trie = [0, {}] if cache is None else cache.setdefault((g, policy.identifier), [0, {}])
-    visited = [g.source]
-    level = trie[1]
-    while len(visited) < g.n and visited[-1] != stop_at:
-        node = level.get(visited[-1])
-        if node is None:
-            break
-        moves, sums, level = node
-        visited.append(draw(moves, sums, rng))
-    else:
-        return visited
+    n = g.n
+    last = g.source
+    visited = [last]
+    trie = None
+    if cache is not None:
+        # the decision trie of (g, policy): [moves held, {source: root}], where
+        # a node is (moves, running sums, {next pick: child node}), as draw
+        # reads them, or (run, None, {run[-1]: child node}) for a run of
+        # forced moves, each of which takes one draw's worth of the rng
+        key = (g, policy.identifier)
+        trie = cache.get(key)
+        if trie is None:
+            trie = cache[key] = [0, {}]
+        level = trie[1]
+        while last != stop_at:
+            node = level.get(last)  # None once every node is visited: no walk stores a node there
+            if node is None:
+                break
+            moves, sums, level = node
+            if sums is None:
+                if stop_at in moves:
+                    moves = moves[:moves.index(stop_at) + 1]
+                visited += moves
+                rng.getrandbits(64 * len(moves))  # the state len(moves) random() calls leave
+                last = moves[-1]
+            else:
+                last = draw(moves, sums, rng)
+                visited.append(last)
+        else:
+            return visited
+        if len(visited) == n:
+            return visited
     # off the trie, and so for the rest of the episode: one replay, then the
     # state follows each move; the trie grows by the node where the walk left
-    # it, so the prefixes that recur most are stored first
-    state = SearchState(g, visited)
-    grow = trie[0] < TRIE_ENTRIES
-    while len(visited) < g.n and visited[-1] != stop_at:
+    # it, so the prefixes that recur most are stored first, and a forced node
+    # is stored with the forced moves after it as one run
+    state = SearchState(g, visited, ([0] * n, range(n)))  # zero shifts: key only counts visits
+    grow = trie is not None and trie[0] < TRIE_ENTRIES
+    start = end = len(visited)  # the forced moves to store as one run are visited[start:end]
+    while len(visited) < n and last != stop_at:
         moves, sums = draw_table(checked_distribution(policy, state))
         if grow:
-            level[visited[-1]] = (moves, sums, {})
-            trie[0] += len(moves)
-            grow = False
-        w = draw(moves, sums, rng)
-        visited.append(w)
-        state.push(w)
+            if len(moves) == 1:
+                end += 1
+            else:
+                grow = False
+                if start == end:
+                    level[last] = (moves, sums, {})
+                    trie[0] += len(moves)
+        last = draw(moves, sums, rng)
+        visited.append(last)
+        state.push(last)
+    if end > start:
+        level[visited[start - 1]] = (tuple(visited[start:end]), None, {})
+        trie[0] += end - start
     return visited
 
 

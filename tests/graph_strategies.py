@@ -2,6 +2,7 @@
 from hypothesis import strategies as st
 
 from hideseek.graphs import from_edges
+from hideseek.hider import example1_graph, palm_tree
 
 
 @st.composite
@@ -35,3 +36,18 @@ def with_false_twins(draw, max_n: int):
         n += extra
     label = draw(st.permutations(range(n)))
     return from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def long_chains(draw, max_n: int):
+    """A graph on 3..max_n nodes made mostly of chains of degree-2 nodes, so
+    that most of a seeker's moves are forced: a palm tree (a trunk ending in
+    a star; a path when the star has one leaf) or an ``example1_graph`` (a
+    tail and a cycle through the source); then relabelled at random."""
+    n = draw(st.integers(3, max_n))
+    if n < 4 or draw(st.booleans()):
+        g = palm_tree(n, draw(st.integers(1, n - 1)))
+    else:
+        g, _ = example1_graph(n, draw(st.integers(1, n - 3)))
+    label = draw(st.permutations(range(n)))
+    return from_edges(n, [(label[u], label[v]) for u, v in g.edges])

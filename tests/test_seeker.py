@@ -23,11 +23,12 @@ from hideseek.seeker import (
     battery_policies,
     execute,
     policy_from_id,
+    sample_position,
     sigma_star,
     twin_classes,
 )
 
-from graph_strategies import at_most_one_cycle
+from graph_strategies import at_most_one_cycle, long_chains
 
 
 def line(n):
@@ -393,16 +394,20 @@ def test_search_state_matches_brute_observation(g, seed, driver):
             assert twins.key == key
 
 
-@settings(max_examples=40, deadline=None)
-@given(at_most_one_cycle(max_n=9), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(at_most_one_cycle(max_n=9), long_chains(max_n=30)), st.integers(0, 10_000))
 def test_trie_walks_match_fresh_walks(g, seed):
-    """Episodes read off a shared decision trie equal those computed afresh."""
+    """Episodes read off a shared decision trie equal those computed afresh,
+    and leave the rng where the fresh walk leaves it."""
     cache: dict = {}
     for policy in (DFSPolicy(), sigma_star(2), BoundedDFSPolicy(1)):
         for s in range(seed, seed + 5):
-            fresh = execute(policy, g, random.Random(s))
-            assert execute(policy, g, random.Random(s), cache) == fresh
-            assert execute(policy, g, random.Random(s), cache) == fresh
+            rng = random.Random(s)
+            fresh = execute(policy, g, rng)
+            for _ in range(2):
+                cached = random.Random(s)
+                assert execute(policy, g, cached, cache) == fresh
+                assert cached.getstate() == rng.getstate()
 
 
 def test_trie_stops_growing_at_its_cap(monkeypatch):
@@ -413,4 +418,75 @@ def test_trie_stops_growing_at_its_cap(monkeypatch):
         fresh = execute(DFSPolicy(), g, random.Random(s))
         assert execute(DFSPolicy(), g, random.Random(s), cache) == fresh
     (held, _top), = cache.values()
-    assert 12 <= held < 12 + g.n  # the last node added may overshoot by one distribution
+    assert 12 <= held < 12 + g.n  # the last node added may overshoot by one distribution or run
+
+
+def test_getrandbits_advances_like_random_calls():
+    """A run of k forced moves advances the rng by ``getrandbits(64 * k)``,
+    which must leave the state that k ``random()`` calls leave (two 32-bit
+    words each); an interpreter where it does not would change seeded rows."""
+    for seed in range(20):
+        for k in (1, 2, 3, 17, 64, 65, 300):
+            bits, calls = random.Random(seed), random.Random(seed)
+            bits.getrandbits(64 * k)
+            for _ in range(k):
+                calls.random()
+            assert bits.getstate() == calls.getstate(), (seed, k)
+
+
+def _after_random_calls(seed, k):
+    rng = random.Random(seed)
+    for _ in range(k):
+        rng.random()
+    return rng.getstate()
+
+
+class TestForcedRuns:
+    """A forced node where a walk leaves the trie is stored together with the
+    forced moves after it as one run, ``(run, None, children)``."""
+
+    def test_a_run_reaches_the_last_node(self):
+        g = line(7)
+        cache: dict = {}
+        assert execute(DFSPolicy(), g, random.Random(0), cache).sequence == tuple(range(7))
+        (held, top), = cache.values()
+        assert held == 6
+        assert top[0] == ((1, 2, 3, 4, 5, 6), None, {})
+        rng = _CountingRandom(1)
+        assert execute(DFSPolicy(), g, rng, cache).sequence == tuple(range(7))
+        assert rng.calls == 0  # the run takes its six draws in one call
+        assert rng.getstate() == _after_random_calls(1, 6)
+
+    def test_a_stop_inside_a_run(self):
+        g = palm_tree(8, 4)  # trunk 0-1-2-3, leaves 4..7 on node 3
+        cache: dict = {}
+        assert sample_position(DFSPolicy(), g, 3, random.Random(5), cache) == 3
+        (_held, top), = cache.values()
+        assert top[0] == ((1, 2, 3), None, {})
+        rng = random.Random(5)
+        assert sample_position(DFSPolicy(), g, 1, rng, cache) == 1
+        assert rng.getstate() == _after_random_calls(5, 1)  # cut at the stop, nothing drawn after
+
+    def test_a_second_target_past_a_run(self):
+        # targets on the trunk and in the crown share one trie: later walks
+        # pass a run cut short by an earlier stop and grow the trie past it
+        g = palm_tree(8, 4)
+        cache: dict = {}
+        for h in (2, 6, 3, 5, 1, 7):
+            for s in range(10):
+                want = execute(DFSPolicy(), g, random.Random(s)).pos(h)
+                assert sample_position(DFSPolicy(), g, h, random.Random(s), cache) == want
+        (_held, top), = cache.values()
+        run, sums, children = top[0]
+        assert (run, sums) == ((1, 2), None)
+        assert children[2][:2] == ((3,), None)
+        assert children[2][2][3][0] == (4, 5, 6, 7)  # the crown branches
+
+    def test_zero_shifts_count_visits(self):
+        g, _ = example1_graph(40, 3)
+        state = SearchState(g, None, ([0] * g.n, range(g.n)))
+        for w in execute(DFSPolicy(), g, random.Random(3)).sequence[1:]:
+            state.push(w)
+            assert state.key == len(state.visited)
+        state.pop()
+        assert state.key == g.n - 1

@@ -14,6 +14,7 @@ from hideseek.graphs import from_edges, graph_to_json
 from hideseek.hider import HiderStrategy, example1_graph, example2_graph, palm_crown_mixed, palm_tree
 from hideseek.oracle import exact_expected_pos, hider_value
 from hideseek.seeker import (
+    UNIFORM_TABLE_K,
     AdjustedDFSPolicy,
     BoundedDFSPolicy,
     DFSPolicy,
@@ -25,10 +26,11 @@ from hideseek.seeker import (
     pick_by_thresholds,
     sample_position,
     sigma_star,
+    _uniform,
 )
 from hideseek.simulate import WORKERS_ENV, monte_carlo, trial_rng
 
-from graph_strategies import at_most_one_cycle
+from graph_strategies import at_most_one_cycle, long_chains
 
 
 def line(n):
@@ -54,15 +56,18 @@ class TestSamplePosition:
         assert a == b
 
     @settings(max_examples=80, deadline=None)
-    @given(at_most_one_cycle(max_n=8), st.integers(1, 4), st.integers(0, 2**32))
+    @given(st.one_of(at_most_one_cycle(max_n=8), long_chains(max_n=16)), st.integers(1, 4),
+           st.integers(0, 2**32))
     def test_sample_position_matches_full_episode(self, g, d, seed):
         tries: dict = {}  # one trie cache across every call, as each Monte Carlo chunk keeps
         for policy in battery_policies(d) + [sigma_star(d, pointwise=True)]:
             for index in range(2):
                 for h in range(g.n):
                     full = execute(policy, g, trial_rng(seed, index)).pos(h)
-                    assert sample_position(policy, g, h, trial_rng(seed, index), tries) == full
-                    assert sample_position(policy, g, h, trial_rng(seed, index)) == full
+                    fresh, cached = trial_rng(seed, index), trial_rng(seed, index)
+                    assert sample_position(policy, g, h, cached, tries) == full
+                    assert sample_position(policy, g, h, fresh) == full
+                    assert cached.getstate() == fresh.getstate()
 
     def test_independent_streams(self):
         # different indices should not all coincide on a randomized instance
@@ -140,6 +145,22 @@ class TestSharedCache:
         assert exact == Fraction(5, 2)
         res = monte_carlo(DFSPolicy(), strategy, trials=20_000, seed=0)
         assert res.covers(exact), (res.mean, res.stderr)
+
+
+    def test_targets_of_one_graph_share_a_trie(self):
+        # the crown hider's targets all sit on one palm, so its walks stop at
+        # different leaves on one trie; each trial must still equal a walk
+        # without a trie
+        strategy = palm_crown_mixed(9, 4)
+        atoms = strategy.atoms
+        thresholds = cumulative_thresholds(p for _, _, p in atoms)
+        for policy in (DFSPolicy(), sigma_star(3)):
+            total = 0
+            for index in range(400):
+                rng = trial_rng(11, index)
+                g, h, _ = pick_by_thresholds(atoms, thresholds, rng.random())
+                total += sample_position(policy, g, h, rng)
+            assert monte_carlo(policy, strategy, trials=400, seed=11, workers=1).mean == total / 400
 
 
 def _unicyclic(n, seed):
@@ -254,6 +275,25 @@ def test_draw_bisects_like_the_linear_scan(raw, draws):
         boundary += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, 1.0)]
     for r in draws + [b for b in boundary if 0 <= b < 1]:
         assert draw(moves, sums, _Fixed(r)) == _scan_pick(dist, r), r
+
+
+def test_uniform_tables_match_the_generic_running_sums():
+    """A uniform distribution's running sums, read from the per-k table, are
+    bit for bit those ``draw_table`` sums from the weights of the same pairs
+    in a plain tuple, and ``draw`` picks alike at and beside each of them."""
+    for k in [*range(1, 65), UNIFORM_TABLE_K + 1]:
+        uniform = _uniform(range(10, 10 + k))
+        plain = tuple(uniform)
+        assert plain == tuple((10 + i, Fraction(1, k)) for i in range(k))
+        moves, sums = draw_table(uniform)
+        want_moves, want_sums = draw_table(plain)
+        assert moves == want_moves
+        assert [x.hex() for x in sums] == [x.hex() for x in want_sums], k
+        boundary = [0.0]
+        for acc in want_sums:
+            boundary += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, 1.0)]
+        for r in boundary:
+            assert draw(moves, sums, _Fixed(r)) == _scan_pick(plain, r), (k, r)
 
 
 def test_draw_keeps_its_running_float_sum():
