@@ -4,9 +4,9 @@ A policy only ever sees a :class:`SearchState` -- the ordered list of visited
 nodes plus what the closed induced subgraph over them shows.  Every query the
 state answers is a fact of that view, never of the hidden rest of the graph.
 
-Policies return exact rational distributions over the frontier.  The depth
-first family differs only in how the *active* node (whose unvisited
-neighbours are eligible) is selected:
+Each built-in policy draws uniformly among the frontier nodes it deems
+eligible.  The depth first family differs only in how the *active* node
+(whose unvisited neighbours are eligible) is selected:
 
 * ``dfs``       -- most recently visited node with an unvisited neighbour.
 * ``dfs_d``     -- visits everything within distance ``d`` first; once the
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 from .errors import EmptyFrontier, PolicyViolation
-from .graphs import Graph, PathProfile, cached_profiles
+from .graphs import Graph, PathProfile, cached_profiles, check_node
 
 Distribution = tuple[tuple[int, Fraction], ...]
 
@@ -229,6 +229,14 @@ class SeekerPolicy:
         return self.kind
 
     def distribution(self, state: SearchState) -> Distribution:
+        """The uniform draw over :meth:`eligible`, refused once every node is visited."""
+        if not state.frontier:
+            raise EmptyFrontier("all nodes visited")
+        return _uniform(self.eligible(state))
+
+    def eligible(self, state: SearchState) -> Sequence[int]:
+        """The frontier nodes this policy draws uniformly among, for a state with a
+        frontier.  A policy that draws otherwise overrides :meth:`distribution`."""
         raise NotImplementedError
 
     def state_key(self, state: SearchState) -> Hashable | None:
@@ -253,10 +261,8 @@ class _RecencyPolicy(SeekerPolicy):
 class DFSPolicy(_RecencyPolicy):
     kind = "dfs"
 
-    def distribution(self, state: SearchState) -> Distribution:
-        if not state.frontier:
-            raise EmptyFrontier("all nodes visited")
-        return _uniform(state.unvisited_neighbors(state.active_stack[-1]))
+    def eligible(self, state: SearchState) -> Sequence[int]:
+        return state.unvisited_neighbors(state.active_stack[-1])
 
 
 class BoundedDFSPolicy(_RecencyPolicy):
@@ -272,28 +278,24 @@ class BoundedDFSPolicy(_RecencyPolicy):
     def identifier(self) -> str:
         return f"dfs_d[{self.d}]"
 
-    def distribution(self, state: SearchState) -> Distribution:
-        frontier = state.frontier
-        if not frontier:
-            raise EmptyFrontier("all nodes visited")
-        stack = state.active_stack
+    def eligible(self, state: SearchState) -> Sequence[int]:
+        frontier, stack = state.frontier, state.active_stack
         within = state.frontier_within(self.d)
-        active = None
+        revealed_deep = revealed_now = ()  # nothing is revealed before the cycle closes
         if state.cycle_among_visited:
             prof = state.profile
             sets = prof.bounded_sets(self.d)
             # one short path, and the second one was revealed beyond / just at the bound
             revealed_deep = (frontier & sets.one_short & prof.double_path) - sets.two_near
             revealed_now = (frontier & sets.one_short & sets.two_near) - sets.two_short
-            if revealed_deep:
-                active = _last_with(state, stack, revealed_deep)
-            elif revealed_now:
-                active = _first_with(state, stack, revealed_now)
-        if active is None:
+        if revealed_deep:
+            active = _last_with(state, stack, revealed_deep)
+        elif revealed_now:
+            active = _first_with(state, stack, revealed_now)
+        else:
             active = _last_with(state, stack, within) if within else stack[-1]
         nbrs = state.unvisited_neighbors(active)
-        preferred = [w for w in nbrs if w in within]
-        return _uniform(preferred if preferred else nbrs)
+        return [w for w in nbrs if w in within] or nbrs
 
 
 class AdjustedDFSPolicy(_RecencyPolicy):
@@ -301,24 +303,17 @@ class AdjustedDFSPolicy(_RecencyPolicy):
 
     kind = "adfs"
 
-    def distribution(self, state: SearchState) -> Distribution:
-        frontier = state.frontier
-        if not frontier:
-            raise EmptyFrontier("all nodes visited")
-        stack = state.active_stack
-        active = None
+    def eligible(self, state: SearchState) -> Sequence[int]:
+        frontier, stack = state.frontier, state.active_stack
+        active = stack[-1]
         if state.cycle_among_visited:
             prof = state.profile
             # nodes whose one path passes the cycle entrance have no second path
-            if frontier & prof.through_entrance:
-                active = _last_with(state, stack, frontier & prof.single_path)
-            else:
-                double = frontier & prof.double_path
-                if double:
-                    active = _last_with(state, stack, double)
-        if active is None:
-            active = stack[-1]
-        return _uniform(state.unvisited_neighbors(active))
+            clear_first = frontier & (prof.single_path if frontier & prof.through_entrance
+                                      else prof.double_path)
+            if clear_first:
+                active = _last_with(state, stack, clear_first)
+        return state.unvisited_neighbors(active)
 
 
 def _last_with(state: SearchState, stack, members: set[int]) -> int:
@@ -342,10 +337,8 @@ class LabelOrderPolicy(SeekerPolicy):
         self.lowest = lowest
         self.kind = "lowest_label" if lowest else "highest_label"
 
-    def distribution(self, state: SearchState) -> Distribution:
-        if not state.frontier:
-            raise EmptyFrontier("all nodes visited")
-        return _uniform((min(state.frontier) if self.lowest else max(state.frontier),))
+    def eligible(self, state: SearchState) -> Sequence[int]:
+        return (min(state.frontier) if self.lowest else max(state.frontier),)
 
     def state_key(self, state: SearchState) -> Hashable:
         # reads only the visited set, not the order
@@ -357,10 +350,8 @@ class BreadthPreferringPolicy(_RecencyPolicy):
 
     kind = "breadth_first"
 
-    def distribution(self, state: SearchState) -> Distribution:
-        if not state.frontier:
-            raise EmptyFrontier("all nodes visited")
-        return _uniform(state.unvisited_neighbors(state.active_stack[0]))
+    def eligible(self, state: SearchState) -> Sequence[int]:
+        return state.unvisited_neighbors(state.active_stack[0])
 
 
 class MixturePolicy(SeekerPolicy):
@@ -375,6 +366,8 @@ class MixturePolicy(SeekerPolicy):
         self.components: tuple[tuple[Fraction, SeekerPolicy], ...] = tuple(components)
         if sum(w for w, _ in self.components) != 1:
             raise ValueError("mixture weights must sum to 1")
+        if any(w <= 0 for w, _ in self.components):
+            raise ValueError("mixture weights must be positive")
         self.kind = kind
         self.pointwise = pointwise
         self.label_free = all(p.label_free for _, p in self.components)
@@ -511,11 +504,9 @@ def cumulative_thresholds(weights: Iterable[Fraction]) -> tuple[float, ...]:
 
 
 def pick_by_thresholds(items: Sequence, thresholds: Sequence[float], r: float):
-    """The first item whose cumulative threshold exceeds ``r`` (else the last)."""
-    for item, t in zip(items, thresholds):
-        if r < t:
-            return item
-    return items[-1]
+    """The first item whose cumulative threshold exceeds ``r < 1``; the thresholds
+    must increase to 1.0, as :func:`cumulative_thresholds` of positive weights do."""
+    return items[bisect_right(thresholds, r)]
 
 
 def checked_distribution(policy: SeekerPolicy, state: SearchState) -> Distribution:
@@ -536,48 +527,45 @@ def _walk(
     g: Graph,
     rng: random.Random,
     stop_at: int | None,
-    cache: dict | None,
+    cache: dict,
 ) -> list[int]:
     if isinstance(policy, MixturePolicy) and not policy.pointwise:
         policy = pick_by_thresholds(policy.components, policy.thresholds, rng.random())[1]
     n = g.n
     last = g.source
     visited = [last]
-    trie = None
-    if cache is not None:
-        # the decision trie of (g, policy): [moves held, {source: root}], where
-        # a node is (moves, running sums, {next pick: child node}), as draw
-        # reads them, or (run, None, {run[-1]: child node}) for a run of
-        # forced moves, each of which takes one draw's worth of the rng
-        key = (g, policy.identifier)
-        trie = cache.get(key)
-        if trie is None:
-            trie = cache[key] = [0, {}]
-        level = trie[1]
-        while last != stop_at:
-            node = level.get(last)  # None once every node is visited: no walk stores a node there
-            if node is None:
-                break
-            moves, sums, level = node
-            if sums is None:
-                if stop_at in moves:
-                    moves = moves[:moves.index(stop_at) + 1]
-                visited += moves
-                rng.getrandbits(64 * len(moves))  # the state len(moves) random() calls leave
-                last = moves[-1]
-            else:
-                last = draw(moves, sums, rng)
-                visited.append(last)
+    # the decision trie of (g, policy): [moves held, {source: root}], where a
+    # node is (moves, running sums, {next pick: child node}), as draw reads
+    # them, or (run, None, {run[-1]: child node}) for a run of forced moves,
+    # each of which takes one draw's worth of the rng
+    key = (g, policy.identifier)
+    trie = cache.get(key)
+    if trie is None:
+        trie = cache[key] = [0, {}]
+    level = trie[1]
+    while last != stop_at:
+        node = level.get(last)  # None once every node is visited: no walk stores a node there
+        if node is None:
+            break
+        moves, sums, level = node
+        if sums is None:
+            if stop_at in moves:
+                moves = moves[:moves.index(stop_at) + 1]
+            visited += moves
+            rng.getrandbits(64 * len(moves))  # the state len(moves) random() calls leave
+            last = moves[-1]
         else:
-            return visited
-        if len(visited) == n:
-            return visited
+            last = draw(moves, sums, rng)
+            visited.append(last)
+    if last == stop_at or len(visited) == n:
+        return visited
     # off the trie, and so for the rest of the episode: one replay, then the
     # state follows each move; the trie grows by the node where the walk left
     # it, so the prefixes that recur most are stored first, and a forced node
     # is stored with the forced moves after it as one run
     state = SearchState(g, visited, ([0] * n, range(n)))  # zero shifts: key only counts visits
-    grow = trie is not None and trie[0] < TRIE_ENTRIES
+    visited = state.visited
+    grow = trie[0] < TRIE_ENTRIES
     start = end = len(visited)  # the forced moves to store as one run are visited[start:end]
     while len(visited) < n and last != stop_at:
         moves, sums = draw_table(checked_distribution(policy, state))
@@ -590,7 +578,6 @@ def _walk(
                     level[last] = (moves, sums, {})
                     trie[0] += len(moves)
         last = draw(moves, sums, rng)
-        visited.append(last)
         state.push(last)
     if end > start:
         level[visited[start - 1]] = (tuple(visited[start:end]), None, {})
@@ -607,9 +594,10 @@ def execute(
     """Run a policy to completion; deterministic given the rng stream.
 
     ``cache`` maps ``(graph, policy identifier)`` to that pair's decision
-    trie and carries the tries from one episode to the next.
+    trie and carries the tries from one episode to the next.  Without one
+    the walk starts on an empty trie, so it reads no stored move.
     """
-    return Episode(tuple(_walk(policy, g, rng, None, cache)))
+    return Episode(tuple(_walk(policy, g, rng, None, {} if cache is None else cache)))
 
 
 def sample_position(
@@ -624,4 +612,5 @@ def sample_position(
     Consumes the same rng prefix as :func:`execute`, so the value matches the
     full episode's ``pos(h)`` exactly.
     """
-    return _walk(policy, g, rng, h, cache).index(h)
+    check_node(g.n, h, "target")
+    return len(_walk(policy, g, rng, h, {} if cache is None else cache)) - 1

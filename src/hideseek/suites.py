@@ -136,6 +136,8 @@ def run_lemma2(max_n: int = 10) -> SuiteReport:
 
 def run_example1(*, mc_trials: int, mc_seed: int) -> SuiteReport:
     """Decoy-cycle instance: DFS needs 2/3(n + d/2 - 1) steps in expectation."""
+    if mc_trials < 2:  # one trial has standard error 0, so no tolerance to check within
+        raise ValueError(f"the Monte Carlo check needs at least 2 trials, got {mc_trials}")
     report = SuiteReport("example1")
     policy = DFSPolicy()
     for n, d in [(7, 2), (10, 3), (12, 4)]:

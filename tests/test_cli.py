@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import inspect
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -460,6 +462,71 @@ class TestVerify:
             assert not Path("run-manifest.json").exists()
         assert result.exit_code == 2
         assert result.stderr == "error: step cutoff must be non-negative\n"
+
+
+def _formula_off_by_half(monkeypatch):
+    formula = suites.tree_dfs_expected_positions
+    monkeypatch.setattr(suites, "tree_dfs_expected_positions",
+                        lambda g, s: [x + Fraction(1, 2) for x in formula(g, s)])
+
+
+def _tables_off_by_one(monkeypatch):
+    admitted = suites.admitted_pairs
+
+    def bumped(*args):
+        for t, v, res in admitted(*args):
+            yield t, v, dataclasses.replace(res, probability=res.probability + 1)
+
+    monkeypatch.setattr(suites, "admitted_pairs", bumped)
+
+
+@pytest.mark.parametrize("args, break_closed_form, check_id, detail", [
+    (["lemma1", "--max-n", "4"], _formula_off_by_half, "trees n=3",
+     "tree [(0, 1), (1, 2)] target 0: oracle 0 formula 1/2"),
+    (["tables"], _tables_off_by_one, "ring_tail/dfs",
+     "(t=3, v=4) dfs:gate-target:v-double: table 5/3 oracle 2/3"),
+    (["prop1"], _tables_off_by_one, "stalk_wide_d5/identity",
+     "(t=2, v=8): table 3/2, component mix 1/2"),
+])
+def test_a_failing_check_exits_1(monkeypatch, args, break_closed_form, check_id, detail):
+    """A suite whose closed-form side is off reports the FAIL on stdout, names
+    the first failure on stderr and exits 1."""
+    break_closed_form(monkeypatch)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = invoke(runner, "verify", *args)
+    suite = args[0]
+    lines = result.stdout.splitlines()
+    assert result.exit_code == 1
+    assert f"[{suite}] FAIL {check_id} ({detail})" in lines
+    assert lines[-1].startswith(f"[{suite}] suite: FAIL")
+    assert result.stderr == f"first failure: {check_id}: {detail}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gen", "palm", "--n", "5"], "palm needs --d"),
+    (["batch", "--spec", "{bad}"], "bad batch spec: Expecting value: line 1 column 1 (char 0)"),
+    (["eval", "--graph", "{bad}", "--strategy", "dfs"],
+     "BadGraphFile: not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["verify", "equilibrium", "--n", "5", "--benefit", "foo"], "unknown benefit spec 'foo'"),
+    (["verify", "equilibrium", "--n", "5", "--benefit", "geometric:2"], "ratio must be in (0, 1]"),
+    (["verify", "equilibrium", "--n", "5", "--benefit", "step:x"],
+     "invalid literal for int() with base 10: 'x'"),
+    (["verify", "equilibrium", "--n", "1"], "tree enumeration needs n >= 2"),
+    # one trial has standard error 0, so the 4-SE check could only demand the exact value
+    (["verify", "examples", "--trials", "1"], "the Monte Carlo check needs at least 2 trials, got 1"),
+], ids=["palm-without-d", "batch-spec-not-json", "graph-not-json", "unknown-benefit",
+        "geometric-ratio-above-1", "step-cutoff-not-int", "equilibrium-n-1", "examples-one-trial"])
+def test_bad_input_exits_2(tmp_path, args, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, [arg.format(bad=bad) for arg in args])
+        assert not Path("run-manifest.json").exists()
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_module_route_runs_without_install(tmp_path):

@@ -151,6 +151,22 @@ class TestDFS:
             dfs_next(SearchState(g, [0, 1, 2]))
 
 
+@pytest.mark.parametrize("policy", [
+    *(p for p in battery_policies(2) if not isinstance(p, MixturePolicy)),
+    sigma_star(2, pointwise=True),
+], ids=lambda p: p.kind)
+def test_finished_state_refused(policy):
+    """Every per-step policy of the battery refuses a state with no frontier.
+
+    The battery's upfront sigma_star has no per-step distribution; its
+    components stand in for it."""
+    g = palm_tree(6, 2)
+    state = SearchState(g, execute(DFSPolicy(), g, random.Random(1)).sequence)
+    with pytest.raises(EmptyFrontier) as info:
+        policy.distribution(state)
+    assert str(info.value) == "all nodes visited"
+
+
 class TestBoundedDFS:
     def test_matches_dfs_on_tree_within_bound(self):
         g = palm_tree(7, 2)

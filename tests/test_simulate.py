@@ -150,7 +150,7 @@ class TestSharedCache:
     def test_targets_of_one_graph_share_a_trie(self):
         # the crown hider's targets all sit on one palm, so its walks stop at
         # different leaves on one trie; each trial must still equal a walk
-        # without a trie
+        # on a fresh trie
         strategy = palm_crown_mixed(9, 4)
         atoms = strategy.atoms
         thresholds = cumulative_thresholds(p for _, _, p in atoms)
@@ -192,6 +192,10 @@ class TestGoldenOutputs:
         ("dfs_d[4] unicyclic(40)",
          lambda: (BoundedDFSPolicy(4), HiderStrategy.pure(_unicyclic(40, 3), 39)), 1000,
          (12.196, 0.1944360804721937)),
+        # the one non-uniform stream: draw_table's generic running sum
+        ("pointwise sigma_star(3) crown(10,3)",
+         lambda: (sigma_star(3, pointwise=True), palm_crown_mixed(10, 3)), 3000,
+         (5.976666666666667, 0.03660052437666343)),
     ])
     def test_monte_carlo(self, name, make, trials, want):
         policy, strategy = make()

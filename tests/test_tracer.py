@@ -25,7 +25,8 @@ g, t = example1_graph(10, 3)
 analysis.expected_position_from_tables("dfs", g, 0, t)
 for report in (suites.run_equivalence(max_n=3), suites.run_lemma1(max_n=4), suites.run_lemma2(max_n=3)):
     assert report.passed, report.lines()
-print(json.dumps(sorted(set(rec.name))))
+kinds = {{tag for name, tag in zip(rec.name, rec.tag) if name == "seeker.distribution"}}
+print(json.dumps({{"names": sorted(set(rec.name)), "kinds": sorted(kinds)}}))
 """
 
 
@@ -34,11 +35,16 @@ def test_instrument_binds_and_records_a_closed_form():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
-    names = set(json.loads(done.stdout))
+    out = json.loads(done.stdout)
+    names = set(out["names"])
     assert {
         "analysis.expected_position_from_tables",
         "analysis.pairwise_probability",
         "graphs.path_profiles",
         "oracle.reachable_observations",
         "oracle.exact_position_table",
+        "seeker.state_key",
     } <= names
+    # distribution is defined once, on the base policy class, and each span
+    # is still tagged with the kind of the policy that ran it
+    assert {"dfs", "dfs_d", "adfs", "lowest_label", "highest_label", "breadth_first"} <= set(out["kinds"])
