@@ -49,7 +49,6 @@ from .hider import (
     palm_tree,
 )
 from .seeker import (
-    Episode,
     SearchState,
     SeekerPolicy,
     battery_policies,

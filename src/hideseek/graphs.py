@@ -70,9 +70,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[list[int]]:
-        return [list(e) for e in sorted(self.edges)]
-
     def is_leaf(self, v: int) -> bool:
         return len(self.adj[v]) == 1
 
@@ -385,7 +382,7 @@ def closed_subgraph(g, xs: Iterable[int]) -> Subgraph:
 
 def graph_to_json(g: Graph, target: int | None = None) -> str:
     """Canonical JSON encoding; edges sorted lexicographically for golden files."""
-    doc: dict = {"n": g.n, "source": g.source, "edges": g.sorted_edges()}
+    doc: dict = {"n": g.n, "source": g.source, "edges": [list(e) for e in sorted(g.edges)]}
     if target is not None:
         doc["target"] = target
     return json.dumps(doc, sort_keys=True)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadHeight, BadShape, TooLarge
-from .graphs import Graph, from_edges
+from .graphs import Graph, check_node, from_edges
 
 # the largest n that tree_sizes accepts: gen tree-enum prints n^(n-2) labelled
 # trees (~4.8M at n=9), and the tree suites walk tree_classes up to it
@@ -60,11 +60,12 @@ class BenefitFunction:
         if spec == "constant":
             return BenefitFunction.constant(n)
         kind, _, arg = spec.partition(":")
-        if kind == "step":
-            return BenefitFunction.step(int(arg), n)
-        if kind == "geometric":
-            return BenefitFunction.geometric(arg, n)
-        raise ValueError(f"unknown benefit spec {spec!r}")
+        try:
+            value = {"step": int, "geometric": Fraction}[kind](arg)
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise ValueError(f"benefit spec {spec!r} is not step:<cutoff>, "
+                             "geometric:<ratio> or constant") from None
+        return BenefitFunction.step(value, n) if kind == "step" else BenefitFunction.geometric(value, n)
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ class HiderStrategy:
         for g, h, p in self.atoms:
             if p <= 0:
                 raise ValueError("atom probabilities must be positive")
-            if not 0 <= h < g.n:
-                raise ValueError(f"hiding node {h} outside graph")
+            check_node(g.n, h, "hiding node")
 
     @staticmethod
     def pure(g: Graph, h: int) -> "HiderStrategy":
@@ -146,10 +146,7 @@ def example2_graph(n: int, d: int) -> tuple[Graph, int]:
     antipode = ring[d - 1]
     pendants = range(3 * d - 2, n)
     edges += [(antipode, v) for v in pendants]
-    g = from_edges(n, edges)
-    if g.edge_count != n:
-        raise BadShape(f"construction produced {g.edge_count} edges, expected {n}")
-    return g, d
+    return from_edges(n, edges), d
 
 
 def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -192,9 +189,6 @@ def tree_sizes(ns: Iterable[int]) -> list[int]:
 def all_trees(n: int) -> Iterator[Graph]:
     """Every labeled tree on ``n`` nodes (Cayley: n^(n-2) of them), source 0."""
     tree_sizes([n])
-    if n == 2:
-        yield from_edges(2, [(0, 1)])
-        return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield from_edges(n, prufer_decode(seq, n))
 

@@ -21,9 +21,9 @@ false twins (nodes with the same neighbours), when both of these hold:
 
 1. the policy is ``label_free`` (``dfs``, ``dfs_d``, ``adfs``,
    ``breadth_first``, and a pointwise mixture of only those), and
-2. the fold reads no node label but its fixed nodes: the source and the
-   target ``h`` of :func:`exact_expected_pos`, or ``v`` and ``t`` of
-   :func:`exact_visit_prob`.
+2. the walk has stop nodes, as only the single-target folds do, and so its
+   fold reads no node label but theirs and the source's: the target ``h``
+   of :func:`exact_expected_pos`, or ``v`` and ``t`` of :func:`exact_visit_prob`.
 
 Such a swap is an automorphism that fixes every node the fold reads, so the
 merged states have equal values; the state key then counts the visits per
@@ -66,8 +66,7 @@ def componentwise(policy: SeekerPolicy, quantity: Callable):
     return {key: _dot([(w, part.get(key, 0)) for w, part in parts]) for key in keys}
 
 
-def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop=(),
-            merge_twins: bool = False):
+def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop=()):
     """Fold over the decision tree of ``policy`` on ``g``, children first.
 
     ``fold(state, edges)`` runs once per distinct state, with ``state`` at that
@@ -75,15 +74,15 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
     what the fold gave for the state the move leads to, or ``None`` for a move
     onto a node in ``stop``, which is not expanded.  With ``memoized``, states
     with equal ``policy.state_key`` are expanded once and share that value.
-    ``merge_twins`` says that the fold reads no node label but the source's
-    and those in ``stop``; with ``memoized`` and a ``label_free`` policy, the
-    state key then counts false twins alike (the module docstring says why).
+    A fold given stop nodes reads no node label except theirs and the
+    source's, so with ``memoized``, stop nodes and a ``label_free`` policy the
+    state key counts false twins alike (the module docstring says why).
     A move off the frontier raises ``PolicyViolation``.  Returns the root's value.
 
     The walk keeps its own stack, one frame per visit, so its depth is not
     bounded by Python's recursion limit.
     """
-    twins = memoized and merge_twins and policy.label_free
+    twins = memoized and stop and policy.label_free
     state = SearchState(g, classes=twin_classes(g, (g.source, *stop)) if twins else None)
     memo: dict = {}
     # the states on the current visit sequence, root first, each as
@@ -179,7 +178,7 @@ def exact_expected_pos(
         k = len(state.visited)
         return _dot([(p, k if child is None else child) for _, p, child in edges])
 
-    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,), merge_twins=True))
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,)))
 
 
 def exact_visit_prob(
@@ -205,7 +204,7 @@ def exact_visit_prob(
     def value(state, edges):
         return _dot([(p, 1 if w == v else child) for w, p, child in edges if w != t])
 
-    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t), merge_twins=True))
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t)))
 
 
 def exact_position_table(
@@ -269,7 +268,7 @@ def episode_distribution(
 def cached_position_table(policy: SeekerPolicy, g: Graph) -> dict[int, Fraction]:
     """:func:`exact_position_table` without the guard."""
     # nothing in the package calls this; it stays only because
-    # benchmarks/tracer.py looks it up by name (ROADMAP item 4 deletes it)
+    # benchmarks/tracer.py looks it up by name (ROADMAP item 7 deletes it)
     return exact_position_table(policy, g, node_limit=None)
 
 

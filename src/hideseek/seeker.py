@@ -25,7 +25,6 @@ import math
 import random
 from bisect import bisect_right, insort
 from itertools import repeat
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
@@ -452,16 +451,6 @@ def battery_policies(d: int) -> list[SeekerPolicy]:
     ]
 
 
-@dataclass(frozen=True)
-class Episode:
-    """A complete seeking sequence (a permutation of the nodes, source first)."""
-
-    sequence: tuple[int, ...]
-
-    def pos(self, h: int) -> int:
-        return self.sequence.index(h)
-
-
 def draw_table(dist: Distribution) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """The moves of ``dist`` and the running float sums of their weights.
 
@@ -590,14 +579,15 @@ def execute(
     g: Graph,
     rng: random.Random,
     cache: dict | None = None,
-) -> Episode:
-    """Run a policy to completion; deterministic given the rng stream.
+) -> tuple[int, ...]:
+    """The visit sequence of one episode run to completion (a permutation of
+    the nodes, source first); deterministic given the rng stream.
 
     ``cache`` maps ``(graph, policy identifier)`` to that pair's decision
     trie and carries the tries from one episode to the next.  Without one
     the walk starts on an empty trie, so it reads no stored move.
     """
-    return Episode(tuple(_walk(policy, g, rng, None, {} if cache is None else cache)))
+    return tuple(_walk(policy, g, rng, None, {} if cache is None else cache))
 
 
 def sample_position(
@@ -609,8 +599,8 @@ def sample_position(
 ) -> int:
     """Position of ``h`` in one sampled episode, stopping once it is found.
 
-    Consumes the same rng prefix as :func:`execute`, so the value matches the
-    full episode's ``pos(h)`` exactly.
+    Consumes the same rng prefix as :func:`execute`, so the value is exactly
+    the index of ``h`` in the full episode's visit sequence.
     """
     check_node(g.n, h, "target")
     return len(_walk(policy, g, rng, h, {} if cache is None else cache)) - 1

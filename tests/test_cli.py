@@ -508,15 +508,24 @@ def test_a_failing_check_exits_1(monkeypatch, args, break_closed_form, check_id,
     (["batch", "--spec", "{bad}"], "bad batch spec: Expecting value: line 1 column 1 (char 0)"),
     (["eval", "--graph", "{bad}", "--strategy", "dfs"],
      "BadGraphFile: not JSON: Expecting value: line 1 column 1 (char 0)"),
-    (["verify", "equilibrium", "--n", "5", "--benefit", "foo"], "unknown benefit spec 'foo'"),
+    (["verify", "equilibrium", "--n", "5", "--benefit", "foo"],
+     "benefit spec 'foo' is not step:<cutoff>, geometric:<ratio> or constant"),
     (["verify", "equilibrium", "--n", "5", "--benefit", "geometric:2"], "ratio must be in (0, 1]"),
     (["verify", "equilibrium", "--n", "5", "--benefit", "step:x"],
-     "invalid literal for int() with base 10: 'x'"),
+     "benefit spec 'step:x' is not step:<cutoff>, geometric:<ratio> or constant"),
+    (["verify", "equilibrium", "--n", "5", "--benefit", "step"],
+     "benefit spec 'step' is not step:<cutoff>, geometric:<ratio> or constant"),
+    (["verify", "equilibrium", "--n", "5", "--benefit", "geometric:foo"],
+     "benefit spec 'geometric:foo' is not step:<cutoff>, geometric:<ratio> or constant"),
+    (["verify", "equilibrium", "--n", "3", "--benefit", "geometric:1/0"],
+     "benefit spec 'geometric:1/0' is not step:<cutoff>, geometric:<ratio> or constant"),
     (["verify", "equilibrium", "--n", "1"], "tree enumeration needs n >= 2"),
     # one trial has standard error 0, so the 4-SE check could only demand the exact value
     (["verify", "examples", "--trials", "1"], "the Monte Carlo check needs at least 2 trials, got 1"),
 ], ids=["palm-without-d", "batch-spec-not-json", "graph-not-json", "unknown-benefit",
-        "geometric-ratio-above-1", "step-cutoff-not-int", "equilibrium-n-1", "examples-one-trial"])
+        "geometric-ratio-above-1", "step-cutoff-not-int", "step-without-cutoff",
+        "geometric-ratio-not-a-number", "geometric-ratio-over-zero", "equilibrium-n-1",
+        "examples-one-trial"])
 def test_bad_input_exits_2(tmp_path, args, message):
     bad = tmp_path / "bad.json"
     bad.write_text("not json\n")

@@ -309,7 +309,7 @@ class TestFindCycle:
         check_cycle(g, s)
         visits = execute(policy_from_id("dfs"), g, random.Random(data.draw(st.integers(0, 999))))
         for k in range(1, g.n + 1):
-            view = closed_subgraph(g, visits.sequence[:k])
+            view = closed_subgraph(g, visits[:k])
             check_cycle(view, g.source)
         if g.edge_count == g.n:
             chords = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges]

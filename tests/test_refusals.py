@@ -1,15 +1,21 @@
-"""Bad calls into the library fail with a typed error that names the problem."""
+"""Bad calls into the library fail with a typed error that names the problem, and
+the edge cases next to them (a benefit past its table, one Monte Carlo trial) give
+their documented values."""
 import random
 from fractions import Fraction
 
 import pytest
 
-from hideseek.analysis import pairwise_probability
-from hideseek.errors import DisconnectedGraph, NodeOutOfRange
-from hideseek.graphs import from_edges
-from hideseek.hider import example1_graph
+from hideseek.analysis import (hider_payoff, mixture_capture_bound, pairwise_probability,
+                               palm_expected_position)
+from hideseek.errors import BadShape, DisconnectedGraph, EmptyFrontier, MultipleCycles, NodeOutOfRange
+from hideseek.graphs import Graph, from_edges, path_profiles, simple_path_counts
+from hideseek.hider import (BenefitFunction, HiderStrategy, example1_graph, optimal_hiding_depths,
+                            palm_tree)
 from hideseek.oracle import exact_visit_prob
-from hideseek.seeker import AdjustedDFSPolicy, DFSPolicy, MixturePolicy, sample_position
+from hideseek.seeker import (AdjustedDFSPolicy, DFSPolicy, MixturePolicy, SearchState, SeekerPolicy,
+                             sample_position, sigma_star)
+from hideseek.simulate import monte_carlo
 
 
 def _mixture(*weights):
@@ -38,3 +44,86 @@ def test_bad_call_refused(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def _outcome(call):
+    """What ``call()`` gives: its value, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: palm_expected_position(5, 0), (ValueError, "height 0 invalid for 5 nodes")),
+    (lambda: hider_payoff(BenefitFunction.constant(5), 5, 5),
+     (ValueError, "distance 5 out of range for 5 nodes")),
+    (lambda: mixture_capture_bound(5, 0), (ValueError, "need n >= 2 and d >= 1")),
+], ids=["palm-height-0", "payoff-distance-n", "capture-bound-d-0"])
+def test_analysis_refusal(call, want):
+    assert _outcome(call) == want
+
+
+def _palm_atoms(*weights):
+    return lambda: HiderStrategy(tuple((palm_tree(4, 1), h, w) for h, w in enumerate(weights, 1)))
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: BenefitFunction((Fraction(-1),)), (ValueError, "benefits must be non-negative")),
+    # past the end of the table every distance gets the last value
+    (lambda: BenefitFunction((Fraction(2), Fraction(1)))(7), Fraction(1)),
+    (_palm_atoms(), (ValueError, "strategy needs at least one atom")),
+    (_palm_atoms(Fraction(1), Fraction(0)), (ValueError, "atom probabilities must be positive")),
+    (_palm_atoms(Fraction(3, 2), Fraction(-1, 2)), (ValueError, "atom probabilities must be positive")),
+    (lambda: HiderStrategy.pure(palm_tree(4, 1), 4), (NodeOutOfRange, "hiding node 4 outside 0..3")),
+    (lambda: optimal_hiding_depths(BenefitFunction.constant(1), 1),
+     (ValueError, "need at least two nodes")),
+    (lambda: example1_graph(5, 0), (BadShape, "tail must have positive length")),
+], ids=["negative-benefit", "benefit-past-table", "no-atoms", "zero-atom", "negative-atom",
+        "atom-off-graph", "depths-one-node", "example1-no-tail"])
+def test_hider_refusal(call, want):
+    assert _outcome(call) == want
+
+
+# a triangle and a 4-cycle: n edges over n nodes, but two components
+_TWO_RINGS = Graph(7, frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)}))
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: simple_path_counts(from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)]), 0, 2),
+     (MultipleCycles, "path enumeration limited to graphs with at most one cycle")),
+    (lambda: path_profiles(_TWO_RINGS, 0),
+     (MultipleCycles, "the search tree leaves out 5 edges (disconnected input?)")),
+], ids=["path-counts-two-cycles", "profiles-two-components"])
+def test_graphs_refusal(call, want):
+    assert _outcome(call) == want
+
+
+class _NoEligible(SeekerPolicy):
+    def eligible(self, state):
+        return ()
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: sigma_star(2).state_key(SearchState(_ex1())), None),
+    (lambda: MixturePolicy([(Fraction(1, 2), DFSPolicy()), (Fraction(1, 2), SeekerPolicy())],
+                           kind="mix", pointwise=True).state_key(SearchState(_ex1())), None),
+    (lambda: _NoEligible().distribution(SearchState(_ex1())),
+     (EmptyFrontier, "no eligible node to move to")),
+], ids=["upfront-mixture-key", "keyless-component-key", "no-eligible-node"])
+def test_seeker_refusal(call, want):
+    assert _outcome(call) == want
+
+
+def _mc(trials):
+    res = monte_carlo(DFSPolicy(), HiderStrategy.pure(*example1_graph(7, 2)), trials, seed=0)
+    return res.stderr, res.ci_lo == res.mean == res.ci_hi
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: _mc(0), (ValueError, "need at least one trial")),
+    # one trial has no spread to estimate: standard error 0, the interval is the mean
+    (lambda: _mc(1), (0.0, True)),
+], ids=["no-trials", "one-trial"])
+def test_simulate_refusal(call, want):
+    assert _outcome(call) == want

@@ -114,7 +114,7 @@ class TestObservation:
         episode = execute(DFSPolicy(), g, rng)
         state = SearchState(g)
         for k in range(1, g.n):
-            prefix = episode.sequence[:k]
+            prefix = episode[:k]
             if k > 1:
                 state.push(prefix[-1])
             ref = brute(g, prefix)
@@ -161,7 +161,7 @@ def test_finished_state_refused(policy):
     The battery's upfront sigma_star has no per-step distribution; its
     components stand in for it."""
     g = palm_tree(6, 2)
-    state = SearchState(g, execute(DFSPolicy(), g, random.Random(1)).sequence)
+    state = SearchState(g, execute(DFSPolicy(), g, random.Random(1)))
     with pytest.raises(EmptyFrontier) as info:
         policy.distribution(state)
     assert str(info.value) == "all nodes visited"
@@ -179,7 +179,7 @@ class TestBoundedDFS:
         rng = random.Random(5)
         episode = execute(DFSPolicy(), g, rng)
         for k in range(1, g.n):
-            state = SearchState(g, episode.sequence[:k])
+            state = SearchState(g, episode[:k])
             assert dfs_d_next(state, g.n) == dfs_next(state)
 
     def test_defers_beyond_bound(self):
@@ -268,18 +268,18 @@ class TestExecute:
     def test_line_deterministic(self):
         g = line(4)
         for seed in range(5):
-            assert execute(DFSPolicy(), g, random.Random(seed)).sequence == (0, 1, 2, 3)
+            assert execute(DFSPolicy(), g, random.Random(seed)) == (0, 1, 2, 3)
 
     def test_permutation_and_draw_count(self):
         g, _ = example1_graph(10, 3)
         rng = _CountingRandom(3)
         episode = execute(DFSPolicy(), g, rng)
-        assert sorted(episode.sequence) == list(range(10))
+        assert sorted(episode) == list(range(10))
         assert rng.calls == g.n - 1
 
     def test_star_orders_equally_likely(self):
         g = palm_tree(4, 1)
-        seen = {execute(DFSPolicy(), g, random.Random(s)).sequence for s in range(200)}
+        seen = {execute(DFSPolicy(), g, random.Random(s)) for s in range(200)}
         assert seen == {(0,) + p for p in itertools.permutations((1, 2, 3))}
 
     def test_policy_violation_detected(self):
@@ -296,7 +296,7 @@ class TestExecute:
     def test_mixture_runs_componentwise(self):
         g, _ = example1_graph(7, 2)
         episode = execute(sigma_star(2), g, random.Random(9))
-        assert sorted(episode.sequence) == list(range(7))
+        assert sorted(episode) == list(range(7))
 
     def test_bounded_visits_near_nodes_first_on_trees(self):
         g = palm_tree(8, 3)
@@ -304,7 +304,7 @@ class TestExecute:
         for seed in range(20):
             episode = execute(BoundedDFSPolicy(2), g, random.Random(seed))
             seen_far = False
-            for v in episode.sequence:
+            for v in episode:
                 if dist[v] > 2:
                     seen_far = True
                 else:
@@ -340,7 +340,7 @@ def test_distributions_are_proper(n, data):
     g = from_edges(n, prufer_decode(seq, n))
     episode = execute(DFSPolicy(), g, random.Random(data.draw(st.integers(0, 10_000))))
     k = data.draw(st.integers(1, n - 1))
-    state = SearchState(g, episode.sequence[:k])
+    state = SearchState(g, episode[:k])
     for policy in (DFSPolicy(), BoundedDFSPolicy(2), AdjustedDFSPolicy(), sigma_star(2, pointwise=True)):
         dist = policy.distribution(state)
         assert sum(p for _, p in dist) == 1
@@ -371,9 +371,9 @@ def test_search_state_matches_brute_observation(g, seed, driver):
     twins = SearchState(g, classes=classes)
     for k in range(1, g.n):
         if k > 1:
-            state.push(episode.sequence[k - 1])
-            twins.push(episode.sequence[k - 1])
-        ref = brute(g, episode.sequence[:k])
+            state.push(episode[k - 1])
+            twins.push(episode[k - 1])
+        ref = brute(g, episode[:k])
         assert state.visited == list(ref.visited)
         assert state.key == ref.key
         assert state.canon == ref.canon
@@ -464,12 +464,12 @@ class TestForcedRuns:
     def test_a_run_reaches_the_last_node(self):
         g = line(7)
         cache: dict = {}
-        assert execute(DFSPolicy(), g, random.Random(0), cache).sequence == tuple(range(7))
+        assert execute(DFSPolicy(), g, random.Random(0), cache) == tuple(range(7))
         (held, top), = cache.values()
         assert held == 6
         assert top[0] == ((1, 2, 3, 4, 5, 6), None, {})
         rng = _CountingRandom(1)
-        assert execute(DFSPolicy(), g, rng, cache).sequence == tuple(range(7))
+        assert execute(DFSPolicy(), g, rng, cache) == tuple(range(7))
         assert rng.calls == 0  # the run takes its six draws in one call
         assert rng.getstate() == _after_random_calls(1, 6)
 
@@ -490,7 +490,7 @@ class TestForcedRuns:
         cache: dict = {}
         for h in (2, 6, 3, 5, 1, 7):
             for s in range(10):
-                want = execute(DFSPolicy(), g, random.Random(s)).pos(h)
+                want = execute(DFSPolicy(), g, random.Random(s)).index(h)
                 assert sample_position(DFSPolicy(), g, h, random.Random(s), cache) == want
         (_held, top), = cache.values()
         run, sums, children = top[0]
@@ -501,7 +501,7 @@ class TestForcedRuns:
     def test_zero_shifts_count_visits(self):
         g, _ = example1_graph(40, 3)
         state = SearchState(g, None, ([0] * g.n, range(g.n)))
-        for w in execute(DFSPolicy(), g, random.Random(3)).sequence[1:]:
+        for w in execute(DFSPolicy(), g, random.Random(3))[1:]:
             state.push(w)
             assert state.key == len(state.visited)
         state.pop()

@@ -63,7 +63,7 @@ class TestSamplePosition:
         for policy in battery_policies(d) + [sigma_star(d, pointwise=True)]:
             for index in range(2):
                 for h in range(g.n):
-                    full = execute(policy, g, trial_rng(seed, index)).pos(h)
+                    full = execute(policy, g, trial_rng(seed, index)).index(h)
                     fresh, cached = trial_rng(seed, index), trial_rng(seed, index)
                     assert sample_position(policy, g, h, cached, tries) == full
                     assert sample_position(policy, g, h, fresh) == full

@@ -48,3 +48,30 @@ def test_instrument_binds_and_records_a_closed_form():
     # distribution is defined once, on the base policy class, and each span
     # is still tagged with the kind of the policy that ran it
     assert {"dfs", "dfs_d", "adfs", "lowest_label", "highest_label", "breadth_first"} <= set(out["kinds"])
+
+
+MEMO_SCRIPT = """
+import inspect, json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+from hideseek import oracle
+from tracer import ORACLE_DEFAULT_MEMO
+
+defaults = {{}}
+for name in ORACLE_DEFAULT_MEMO:
+    param = inspect.signature(getattr(oracle, name)).parameters.get("memoized")
+    if param is not None:
+        defaults[name] = param.default
+print(json.dumps({{"table": ORACLE_DEFAULT_MEMO, "defaults": defaults}}))
+"""
+
+
+def test_memo_table_matches_the_oracle_defaults():
+    """The tracer tags an oracle span whose call passes no ``memoized`` with its
+    table's default, so each entry must be the function's own default."""
+    script = MEMO_SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "benchmarks"))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["defaults"], "no oracle function in the table takes memoized"
+    assert out["defaults"] == {name: out["table"][name] for name in out["defaults"]}
