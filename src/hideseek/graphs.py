@@ -1,9 +1,9 @@
 """Immutable graphs and the structural queries the game is built on.
 
-Two node-container types live here.  ``Graph`` is the validated, dense
-representation used for full game instances (nodes ``0..n-1``, source ``0``).
-``Subgraph`` is a lightweight fragment over an arbitrary node subset, such as
-the closed induced subgraph over a visit sequence.
+Two node-container types live here.  ``Graph``, a game instance over nodes
+``0..n-1``, checks itself when built; ``from_edges`` only normalises an edge
+list and refuses a repeat.  ``Subgraph`` is a fragment over any node subset,
+such as the closed induced subgraph over a visit sequence.
 
 All query functions are pure and accept either type.  ``path_profiles`` (and
 its memoized ``cached_profiles``) answers every simple-path question the
@@ -52,11 +52,27 @@ def _build_adj(nodes: Iterable[int], edges: Iterable[Edge]) -> dict[int, tuple[i
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected connected graph over nodes ``0..n-1`` with a fixed source."""
+    """Simple graph on ``0..n-1``, connected from its source, edges stored ``(u, v)``, ``u < v``."""
 
     n: int
     edges: frozenset[Edge]
     source: int = 0
+
+    def __post_init__(self) -> None:
+        n = self.n
+        check_node(n, self.source, "source")
+        for u, v in self.edges:
+            if not 0 <= u < v < n:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise NodeOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
+                raise (SelfLoop(f"self loop at {u}") if u == v
+                       else ValueError(f"edge ({u},{v}) not stored as (u, v) with u < v"))
+        # the count goes first: it refuses a huge sparse n before adj is built
+        if len(self.edges) < n - 1:
+            raise DisconnectedGraph(f"{len(self.edges)} edges cannot connect {n} nodes")
+        if len(dists := bfs_distances(self, self.source)) != n:
+            missing = sorted(set(range(n)) - set(dists))
+            raise DisconnectedGraph(f"nodes unreachable from source: {missing}")
 
     @cached_property
     def node_set(self) -> frozenset[int]:
@@ -115,26 +131,14 @@ class Cycle:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]], source: int = 0) -> Graph:
-    """Validate and build a Graph; raises typed errors on malformed input."""
-    check_node(n, source, "source")
+    """A Graph from edges in either orientation; :class:`DuplicateEdge` on a repeat."""
     seen: set[Edge] = set()
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise NodeOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoop(f"self loop at {u}")
         e = norm_edge(u, v)
         if e in seen:
             raise DuplicateEdge(f"edge {e} repeated")
         seen.add(e)
-    if len(seen) < n - 1:
-        raise DisconnectedGraph(f"{len(seen)} edges cannot connect {n} nodes")
-    g = Graph(n=n, edges=frozenset(seen), source=source)
-    dists = bfs_distances(g, source)
-    if len(dists) != n:
-        missing = sorted(set(range(n)) - set(dists))
-        raise DisconnectedGraph(f"nodes unreachable from source: {missing}")
-    return g
+    return Graph(n=n, edges=frozenset(seen), source=source)
 
 
 def check_node(n: int, v, what: str = "node") -> None:

@@ -24,6 +24,8 @@ class BenefitFunction:
     kind: str = "table"
 
     def __post_init__(self):
+        if not self.values:
+            raise ValueError("benefit table must not be empty")
         if any(v < 0 for v in self.values):
             raise ValueError("benefits must be non-negative")
         if any(a < b for a, b in zip(self.values, self.values[1:])):

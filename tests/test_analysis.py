@@ -251,7 +251,7 @@ class TestTablesAgainstOracle:
                         continue
                     assert res.probability == table[v, t], (strategy, t, v, res.case_label)
 
-    # The dfs_d rows the oracle contradicts on some graphs (ROADMAP item 2).
+    # The dfs_d rows the oracle contradicts on some graphs (ROADMAP item 3).
     # A seeded sweep of 60,000 random graphs with n <= 8 found wrong answers
     # on these eight rows only; sigma_star mixes the dfs_d row in.
     KNOWN_WRONG = frozenset({

@@ -8,8 +8,9 @@ import pytest
 
 from hideseek.analysis import (hider_payoff, mixture_capture_bound, pairwise_probability,
                                palm_expected_position)
-from hideseek.errors import BadShape, DisconnectedGraph, EmptyFrontier, MultipleCycles, NodeOutOfRange
-from hideseek.graphs import Graph, from_edges, path_profiles, simple_path_counts
+from hideseek.errors import (BadShape, DisconnectedGraph, EmptyFrontier, MultipleCycles, NodeOutOfRange,
+                             SelfLoop)
+from hideseek.graphs import Graph, Subgraph, from_edges, path_profiles, simple_path_counts
 from hideseek.hider import (BenefitFunction, HiderStrategy, example1_graph, optimal_hiding_depths,
                             palm_tree)
 from hideseek.oracle import exact_visit_prob
@@ -69,6 +70,8 @@ def _palm_atoms(*weights):
 
 
 @pytest.mark.parametrize("call, want", [
+    (lambda: BenefitFunction(()), (ValueError, "benefit table must not be empty")),
+    (lambda: BenefitFunction.constant(0), (ValueError, "benefit table must not be empty")),
     (lambda: BenefitFunction((Fraction(-1),)), (ValueError, "benefits must be non-negative")),
     # past the end of the table every distance gets the last value
     (lambda: BenefitFunction((Fraction(2), Fraction(1)))(7), Fraction(1)),
@@ -79,20 +82,38 @@ def _palm_atoms(*weights):
     (lambda: optimal_hiding_depths(BenefitFunction.constant(1), 1),
      (ValueError, "need at least two nodes")),
     (lambda: example1_graph(5, 0), (BadShape, "tail must have positive length")),
-], ids=["negative-benefit", "benefit-past-table", "no-atoms", "zero-atom", "negative-atom",
-        "atom-off-graph", "depths-one-node", "example1-no-tail"])
+], ids=["empty-benefit", "constant-no-nodes", "negative-benefit", "benefit-past-table", "no-atoms",
+        "zero-atom", "negative-atom", "atom-off-graph", "depths-one-node", "example1-no-tail"])
 def test_hider_refusal(call, want):
     assert _outcome(call) == want
 
 
 # a triangle and a 4-cycle: n edges over n nodes, but two components
-_TWO_RINGS = Graph(7, frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)}))
+_TWO_RINGS = frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)})
+
+
+@pytest.mark.parametrize("n, edges, source, want", [
+    (5, {(0, 1), (1, 2), (0, 2), (3, 4)}, 0, (DisconnectedGraph, "nodes unreachable from source: [3, 4]")),
+    (7, _TWO_RINGS, 0, (DisconnectedGraph, "nodes unreachable from source: [3, 4, 5, 6]")),
+    (3, {(0, 1), (1, 3)}, 0, (NodeOutOfRange, "edge (1,3) outside 0..2")),
+    (3, {(0, 1), (1, 1), (1, 2)}, 0, (SelfLoop, "self loop at 1")),
+    (3, {(1, 0), (0, 1), (1, 2)}, 0, (ValueError, "edge (1,0) not stored as (u, v) with u < v")),
+    (3, {(0, 1), (1, 2)}, 7, (NodeOutOfRange, "source 7 outside 0..2")),
+    # the edge count refuses a huge node count before any per-node structure is built
+    (100_000, {(0, 1)}, 0, (DisconnectedGraph, "1 edges cannot connect 100000 nodes")),
+], ids=["triangle-and-edge", "two-rings", "edge-out-of-range", "self-loop", "reversed-repeat",
+        "source-out-of-range", "too-few-edges"])
+def test_graph_refused(n, edges, source, want):
+    """``Graph(...)`` called directly checks what ``from_edges`` does, so no engine
+    is handed a disconnected graph or a repeated, reversed or out-of-range edge."""
+    assert _outcome(lambda: Graph(n, frozenset(edges), source)) == want
 
 
 @pytest.mark.parametrize("call, want", [
     (lambda: simple_path_counts(from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)]), 0, 2),
      (MultipleCycles, "path enumeration limited to graphs with at most one cycle")),
-    (lambda: path_profiles(_TWO_RINGS, 0),
+    # a Graph cannot be disconnected, so only a Subgraph view reaches the chord count
+    (lambda: path_profiles(Subgraph(frozenset(range(7)), _TWO_RINGS), 0),
      (MultipleCycles, "the search tree leaves out 5 edges (disconnected input?)")),
 ], ids=["path-counts-two-cycles", "profiles-two-components"])
 def test_graphs_refusal(call, want):

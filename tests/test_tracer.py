@@ -1,4 +1,5 @@
-"""The benchmark tracer still finds every entry point it rebinds by name.
+"""The benchmark tracer still finds every entry point it rebinds by name, and
+every benchmark workload still builds its inputs.
 
 ``benchmarks/tracer.py`` looks the traced functions up with ``getattr``, so a
 renamed or deleted one breaks ``benchmarks/run.py --trace 1``.  The rebinding
@@ -75,3 +76,27 @@ def test_memo_table_matches_the_oracle_defaults():
     out = json.loads(done.stdout)
     assert out["defaults"], "no oracle function in the table takes memoized"
     assert out["defaults"] == {name: out["table"][name] for name in out["defaults"]}
+
+
+WORKLOAD_SCRIPT = """
+import json, sys
+sys.path[:0] = [{src!r}, {root!r}]
+from benchmarks import jobs
+
+print(json.dumps({{f"{{w}}/{{seed}}": len(jobs.WORKLOADS[w](seed))
+                  for w in sorted(jobs.WORKLOADS) for seed in (0, 1)}}))
+"""
+
+
+def test_every_workload_builds_its_inputs():
+    """A graph check that refuses one of the benchmark's inputs fails here, not
+    only in a benchmark run.  Each workload's job list is built at two seeds,
+    and no job runs."""
+    script = WORKLOAD_SCRIPT.format(src=str(ROOT / "src"), root=str(ROOT))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    assert sorted(counts) == [f"{w}/{seed}" for w in ("closed", "exact", "mc_large", "mc_small")
+                              for seed in (0, 1)]
+    assert all(counts.values()), counts
