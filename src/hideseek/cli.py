@@ -83,12 +83,9 @@ def _evaluate_row(g: Graph, spec: dict) -> str:
     instance = spec.get("instance", Path(spec["graph"]).stem)
     check_node(g.n, target, "target")
     if mode == "closed":
-        if strategy == "sigma_star" and spec["pointwise"]:
-            raise ValueError("the closed forms cover the upfront sigma_star mixture only, "
-                             "not the pointwise one")
         value = expected_position_from_tables(strategy, g, g.source, target, d)
         return f"{instance},{strategy},{target},closed,{value}"
-    policy = policy_from_id(strategy, d=d, pointwise=spec["pointwise"])
+    policy = policy_from_id(strategy, d=d)
     if mode == "exact":
         value = exact_expected_pos(policy, g, target, memoized=True)
         return f"{instance},{strategy},{target},exact,{value}"
@@ -106,13 +103,13 @@ def _evaluate_row(g: Graph, spec: dict) -> str:
 MC_HEADER = "instance,strategy,trials,seed,mean,stderr,ci_lo,ci_hi,exact"
 VALUE_HEADER = "instance,strategy,target,mode,value"
 MODES = ("exact", "mc", "closed")
-# the type of each eval spec field; "d" and "target" may also be null
+# the type of each eval spec field, and the only keys a spec may hold; "d" and
+# "target" may also be null
 SPEC_FIELDS = {"graph": str, "strategy": str, "instance": str, "mode": str, "target": int,
-               "d": int, "trials": int, "seed": int, "pointwise": bool}
+               "d": int, "trials": int, "seed": int}
 # the value of each optional field a spec leaves out (or, for "target", gives as null:
 # the graph file's target then stands in); "instance" defaults to the graph file's stem
-SPEC_DEFAULTS = {"target": None, "mode": "exact", "d": None, "trials": 10000, "seed": 0,
-                 "pointwise": False}
+SPEC_DEFAULTS = {"target": None, "mode": "exact", "d": None, "trials": 10000, "seed": 0}
 
 
 def _spec_problem(specs) -> str | None:
@@ -129,7 +126,9 @@ def _spec_problem(specs) -> str | None:
                 return f"item {i} has no {key!r}"
         for key, value in item.items():
             want = SPEC_FIELDS.get(key)
-            if want and type(value) is not want and not (value is None and key in ("d", "target")):
+            if want is None:
+                return f"item {i}: unknown key {key!r}"
+            if type(value) is not want and not (value is None and key in ("d", "target")):
                 return f"item {i}: {key!r} is not of type {want.__name__}"
         for key, allowed in (("strategy", STRATEGIES), ("mode", MODES)):
             if {**SPEC_DEFAULTS, **item}[key] not in allowed:
@@ -175,19 +174,18 @@ def _evaluate(specs, prefix: str) -> tuple[str, list[dict]]:
 @click.option("--d", type=int, help="Distance bound for dfs_d / sigma_star.")
 @click.option("--trials", type=int)
 @click.option("--seed", type=int)
-@click.option("--pointwise", is_flag=True, help="Per-step mixture variant of sigma_star.")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def eval_cmd(out, **options):
     """Evaluate a strategy's expected capture position on one instance."""
     options["graph"] = str(options["graph"])
     payload, (spec,) = _evaluate([{k: v for k, v in options.items() if v is not None}], "")
-    _emit(out, payload, "eval", {**spec, "pointwise": spec["pointwise"] or None})
+    _emit(out, payload, "eval", spec)
 
 
 @main.command()
 @click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False, path_type=Path),
               required=True,
-              help="JSON array of eval specs (graph/strategy/target/mode/d/trials/seed).")
+              help="JSON array of eval specs (graph/strategy/instance/target/mode/d/trials/seed).")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def batch(spec_path, out):
     """Run a batch of evaluations from a config file; rows are sorted for stable output."""

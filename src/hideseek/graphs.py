@@ -28,6 +28,7 @@ from typing import Iterable
 
 from .errors import (
     BadGraphFile,
+    BadShape,
     DisconnectedGraph,
     DuplicateEdge,
     MultipleCycles,
@@ -60,10 +61,12 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.n
+        if type(n) is not int:
+            raise BadShape(f"node count {n!r} is not an integer")
         check_node(n, self.source, "source")
         for u, v in self.edges:
-            if not 0 <= u < v < n:
-                if not (0 <= u < n and 0 <= v < n):
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
+                if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
                     raise NodeOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
                 raise (SelfLoop(f"self loop at {u}") if u == v
                        else ValueError(f"edge ({u},{v}) not stored as (u, v) with u < v"))
@@ -142,8 +145,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], source: int = 0) -> Gra
 
 
 def check_node(n: int, v, what: str = "node") -> None:
-    """Raise :class:`NodeOutOfRange` unless ``v`` is one of the nodes ``0..n-1``."""
-    if not isinstance(v, int) or not 0 <= v < n:
+    """Raise :class:`NodeOutOfRange` unless ``v`` is one of the nodes ``0..n-1``,
+    an ``int`` and not a ``bool``."""
+    if type(v) is not int or not 0 <= v < n:
         raise NodeOutOfRange(f"{what} {v} outside 0..{n - 1}")
 
 

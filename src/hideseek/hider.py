@@ -32,6 +32,8 @@ class BenefitFunction:
             raise ValueError("benefit table must be non-increasing")
 
     def __call__(self, distance: int) -> Fraction:
+        if distance < 0:
+            raise ValueError(f"distance {distance} is negative")
         if distance >= len(self.values):
             return self.values[-1]
         return self.values[distance]

@@ -19,8 +19,8 @@ their weights.  No table is kept once its question is answered.
 A memoized single-target walk also merges states that differ by swapping
 false twins (nodes with the same neighbours), when both of these hold:
 
-1. the policy is ``label_free`` (``dfs``, ``dfs_d``, ``adfs``,
-   ``breadth_first``, and a pointwise mixture of only those), and
+1. the policy is ``label_free`` (``dfs``, ``dfs_d``, ``adfs`` and
+   ``breadth_first``), and
 2. the walk has stop nodes, as only the single-target folds do, and so its
    fold reads no node label but theirs and the source's: the target ``h``
    of :func:`exact_expected_pos`, or ``v`` and ``t`` of :func:`exact_visit_prob`.
@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
 from .hider import BenefitFunction, HiderStrategy, tree_classes
-from .seeker import (Distribution, MixturePolicy, SearchState, SeekerPolicy, battery_policies,
-                     checked_distribution, twin_classes)
+from .seeker import (MixturePolicy, SearchState, SeekerPolicy, battery_policies,
+                     checked_distribution, twin_classes, uniform_table)
 
 # twin merging makes larger palms cheap, but the limit stays: the Monte Carlo
 # rows' exact column and the lemma2 suite's cap read it
@@ -57,7 +58,7 @@ def _guard(n: int, node_limit: int | None = DEFAULT_NODE_LIMIT) -> None:
 def componentwise(policy: SeekerPolicy, quantity: Callable):
     """``quantity(policy)``, with an upfront mixture taken per component and
     recombined by its weights (value by value when ``quantity`` gives dicts)."""
-    if not isinstance(policy, MixturePolicy) or policy.pointwise:
+    if not isinstance(policy, MixturePolicy):
         return quantity(policy)
     parts = [(w, quantity(p)) for w, p in policy.components]
     if not isinstance(parts[0][1], dict):
@@ -70,7 +71,7 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
     """Fold over the decision tree of ``policy`` on ``g``, children first.
 
     ``fold(state, edges)`` runs once per distinct state, with ``state`` at that
-    point and ``edges`` its moves as ``(move, weight, child)``: ``child`` is
+    point and ``edges`` its k moves as ``(move, 1/k, child)``: ``child`` is
     what the fold gave for the state the move leads to, or ``None`` for a move
     onto a node in ``stop``, which is not expanded.  With ``memoized``, states
     with equal ``policy.state_key`` are expanded once and share that value.
@@ -116,8 +117,10 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
 
 def _frame(policy: SeekerPolicy, state: SearchState, key, weight) -> tuple:
     """A stack frame of :func:`_expand` for the state just entered."""
-    moves = checked_distribution(policy, state) if len(state.visited) < state.g.n else ()
-    return key, iter(moves), [], weight
+    if len(state.visited) == state.g.n:
+        return key, iter(()), [], weight
+    moves = checked_distribution(policy, state)
+    return key, zip(moves, repeat(uniform_table(len(moves))[0])), [], weight
 
 
 def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> tuple[int, Iterator[tuple[tuple, int, int]]]:
@@ -125,9 +128,10 @@ def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> tuple[int, Iterato
     probabilities, and every move as ``(visited, move, D * probability of
     reaching the state and taking the move)``, parents before children.
 
-    With ``L`` the lcm of every weight's denominator, ``D = L**(n-1)``.  A
-    state with a move left has taken at most n-2 moves, so its integer mass
-    is a multiple of ``L`` and each move's share is exact."""
+    With ``L`` the lcm of the states' move counts k (each move's weight is
+    1/k), ``D = L**(n-1)``.  A state with a move left has taken at most n-2
+    moves, so its integer mass is a multiple of ``L`` and each move's share is
+    exact."""
     records: list = []  # (visited, edges with child indices); children first, the root last
 
     def record(state, edges):
@@ -331,14 +335,14 @@ def adversarial_policy_battery(
 
 
 def reachable_observations(policy: SeekerPolicy, g: Graph,
-                           look: Callable[[SearchState, Distribution], object]) -> None:
+                           look: Callable[[SearchState, tuple[int, ...]], object]) -> None:
     """Call ``look(state, moves)`` at every state with a move left that is reachable
     with positive probability under ``policy``, sequence-keyed and children first;
-    ``moves`` is the distribution the walk drew there and ``state`` is valid only
-    during the call."""
+    ``moves`` are the nodes the walk drew uniformly among there and ``state`` is
+    valid only during the call."""
 
     def fold(state, edges):
         if edges:
-            look(state, tuple((w, p) for w, p, _ in edges))
+            look(state, tuple([w for w, _, _ in edges]))
 
     _expand(policy, g, False, fold)

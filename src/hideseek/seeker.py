@@ -24,15 +24,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right, insort
-from itertools import repeat
+from itertools import accumulate, repeat
 from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 from .errors import EmptyFrontier, PolicyViolation
 from .graphs import Graph, PathProfile, cached_profiles, check_node
-
-Distribution = tuple[tuple[int, Fraction], ...]
 
 
 class SearchState:
@@ -177,40 +175,32 @@ def twin_classes(g: Graph, fixed: Iterable[int]) -> tuple[list[int], list[int]]:
     return shift, canon
 
 
-class _Uniform(tuple):
-    """A distribution with equal weights, so :func:`draw_table` reads its
-    running sums from :func:`_uniform_table` instead of its ``Fraction``s."""
-
-    __slots__ = ()
-
-
-# 1/k and the running float sums of k weights 1/k, keyed by k.  Every k is the
-# size of part of one node's neighbourhood, so the table holds at most one
-# entry per k up to the largest degree; a k above UNIFORM_TABLE_K is built
-# afresh on each call instead (all k up to a degree in the thousands would
-# hold millions of floats).
+# 1/k and the running float sums of k weights 1/k, keyed by k: the weight and
+# the draw of a uniform move among k.  Every k is the size of part of one
+# node's neighbourhood, so the table holds at most one entry per k up to the
+# largest degree; a k above UNIFORM_TABLE_K is built afresh on each call
+# instead (all k up to a degree in the thousands would hold millions of floats).
 _UNIFORM_TABLES: dict[int, tuple[Fraction, tuple[float, ...]]] = {}
 UNIFORM_TABLE_K = 256
 
 
-def _uniform_table(k: int) -> tuple[Fraction, tuple[float, ...]]:
+def uniform_table(k: int) -> tuple[Fraction, tuple[float, ...]]:
+    """The weight 1/k of each of k moves, and the running float sums that
+    :func:`draw` bisects.  The last move's sum is left out: :func:`draw` takes
+    the last move when every other sum is at most the uniform draw."""
     table = _UNIFORM_TABLES.get(k)
     if table is None:
-        p = Fraction(1, k)
-        table = (p, draw_table(((0, p),) * k)[1])  # a plain tuple: the generic running sum
+        # a running float sum, not cumulative_thresholds: the two differ in the
+        # last bit (thirds sum to 0.6666666666666666, the threshold of 2/3 is
+        # 0.6666666666666667), so swapping them would change seeded rows
+        table = (Fraction(1, k), tuple(accumulate(repeat(1 / k, k - 1))))
         if k <= UNIFORM_TABLE_K:
             _UNIFORM_TABLES[k] = table
     return table
 
 
-def _uniform(nodes) -> Distribution:
-    if not nodes:
-        raise EmptyFrontier("no eligible node to move to")
-    return _Uniform(zip(sorted(nodes), repeat(_uniform_table(len(nodes))[0])))
-
-
 class SeekerPolicy:
-    """Base policy: a map from search states to frontier distributions.
+    """Base policy: a map from search states to the frontier nodes drawn uniformly among.
 
     A policy reads a state only through its visit order, visited set,
     frontier, active stack, ``unvisited_neighbors``, ``cycle_among_visited``,
@@ -220,22 +210,25 @@ class SeekerPolicy:
     kind: str = "abstract"
     # True when the policy reads no node label, only the graph's structure,
     # the source and the visit order: an automorphism that fixes the source
-    # then maps each state's distribution onto its image's
+    # then maps each state's eligible nodes onto its image's
     label_free: bool = False
 
     @property
     def identifier(self) -> str:
         return self.kind
 
-    def distribution(self, state: SearchState) -> Distribution:
-        """The uniform draw over :meth:`eligible`, refused once every node is visited."""
+    def distribution(self, state: SearchState) -> tuple[int, ...]:
+        """The nodes of :meth:`eligible`, sorted: each is the next visit with
+        probability 1/k, k their number.  Refused once every node is visited."""
         if not state.frontier:
             raise EmptyFrontier("all nodes visited")
-        return _uniform(self.eligible(state))
+        nodes = self.eligible(state)
+        if not nodes:
+            raise EmptyFrontier("no eligible node to move to")
+        return tuple(sorted(nodes))
 
     def eligible(self, state: SearchState) -> Sequence[int]:
-        """The frontier nodes this policy draws uniformly among, for a state with a
-        frontier.  A policy that draws otherwise overrides :meth:`distribution`."""
+        """The frontier nodes this policy draws uniformly among, for a state with a frontier."""
         raise NotImplementedError
 
     def state_key(self, state: SearchState) -> Hashable | None:
@@ -354,49 +347,26 @@ class BreadthPreferringPolicy(_RecencyPolicy):
 
 
 class MixturePolicy(SeekerPolicy):
-    """Upfront mixture: one component is drawn per episode and played throughout.
+    """Upfront mixture: one component is drawn per episode and played throughout,
+    so the mixture itself has no per-step distribution."""
 
-    ``pointwise=True`` switches to the per-step convex combination of the
-    component distributions (exposed for comparison only; the exact analysis
-    in :mod:`hideseek.analysis` covers the upfront form).
-    """
-
-    def __init__(self, components, kind: str, pointwise: bool = False):
+    def __init__(self, components, kind: str):
         self.components: tuple[tuple[Fraction, SeekerPolicy], ...] = tuple(components)
         if sum(w for w, _ in self.components) != 1:
             raise ValueError("mixture weights must sum to 1")
         if any(w <= 0 for w, _ in self.components):
             raise ValueError("mixture weights must be positive")
         self.kind = kind
-        self.pointwise = pointwise
-        self.label_free = all(p.label_free for _, p in self.components)
         self.thresholds = cumulative_thresholds(w for w, _ in self.components)
 
     @cached_property
     def identifier(self) -> str:
         inner = ",".join(f"{w}*{p.identifier}" for w, p in self.components)
-        mode = "pointwise" if self.pointwise else "upfront"
-        return f"{self.kind}[{mode}:{inner}]"
+        return f"{self.kind}[upfront:{inner}]"
 
-    def distribution(self, state: SearchState) -> Distribution:
-        if not self.pointwise:
-            raise PolicyViolation(
-                "strategy-level mixture has no per-step distribution; "
-                "execute/enumerate it componentwise or build with pointwise=True"
-            )
-        merged: dict[int, Fraction] = {}
-        for w, policy in self.components:
-            for v, p in policy.distribution(state):
-                merged[v] = merged.get(v, Fraction(0)) + w * p
-        return tuple(sorted(merged.items()))
-
-    def state_key(self, state: SearchState) -> Hashable | None:
-        if not self.pointwise:
-            return None
-        keys = tuple(p.state_key(state) for _, p in self.components)
-        if any(k is None for k in keys):
-            return None
-        return keys
+    def distribution(self, state: SearchState) -> tuple[int, ...]:
+        raise PolicyViolation("strategy-level mixture has no per-step distribution; "
+                              "execute/enumerate it componentwise")
 
 
 # The weight of each component of sigma_star, by policy kind, in draw order.
@@ -418,14 +388,14 @@ def check_bound(kind: str, d: int | None) -> None:
         raise ValueError("mixture needs a positive bound")
 
 
-def sigma_star(d: int, pointwise: bool = False) -> MixturePolicy:
+def sigma_star(d: int) -> MixturePolicy:
     """The 3/8 dfs + 3/8 adfs + 1/4 dfs_d seeker mixture."""
     check_bound("sigma_star", d)
     components = [(w, policy_from_id(kind, d=d)) for kind, w in SIGMA_STAR_WEIGHTS.items()]
-    return MixturePolicy(components, kind="sigma_star", pointwise=pointwise)
+    return MixturePolicy(components, kind="sigma_star")
 
 
-def policy_from_id(kind: str, d: int | None = None, pointwise: bool = False) -> SeekerPolicy:
+def policy_from_id(kind: str, d: int | None = None) -> SeekerPolicy:
     """The policy of a strategy id: ``dfs``, ``dfs_d``, ``adfs`` or ``sigma_star``."""
     if kind == "dfs":
         return DFSPolicy()
@@ -434,7 +404,7 @@ def policy_from_id(kind: str, d: int | None = None, pointwise: bool = False) -> 
     if kind == "dfs_d":
         return BoundedDFSPolicy(d)
     if kind == "sigma_star":
-        return sigma_star(d, pointwise=pointwise)
+        return sigma_star(d)
     raise ValueError(f"unknown policy id {kind!r}")
 
 
@@ -451,26 +421,9 @@ def battery_policies(d: int) -> list[SeekerPolicy]:
     ]
 
 
-def draw_table(dist: Distribution) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The moves of ``dist`` and the running float sums of their weights.
-
-    The last move's sum is left out: :func:`draw` takes the last move when
-    every other sum is at most the uniform draw, whatever the last sum is."""
-    # a running float sum, not cumulative_thresholds: the two differ in the
-    # last bit (thirds sum to 0.6666666666666666, the threshold of 2/3 is
-    # 0.6666666666666667), so swapping them would change seeded rows
-    if type(dist) is _Uniform:
-        return tuple([v for v, _ in dist]), _uniform_table(len(dist))[1]
-    sums = []
-    acc = 0.0
-    for _, p in dist[:-1]:
-        acc += p.numerator / p.denominator
-        sums.append(acc)
-    return tuple([v for v, _ in dist]), tuple(sums)
-
-
 def draw(moves: Sequence[int], sums: Sequence[float], rng: random.Random) -> int:
-    """The first move whose running sum exceeds a uniform draw, as :func:`draw_table` gives them."""
+    """The first move whose running sum exceeds a uniform draw, with ``sums``
+    as :func:`uniform_table` gives them."""
     return moves[bisect_right(sums, rng.random())]
 
 
@@ -498,14 +451,12 @@ def pick_by_thresholds(items: Sequence, thresholds: Sequence[float], r: float):
     return items[bisect_right(thresholds, r)]
 
 
-def checked_distribution(policy: SeekerPolicy, state: SearchState) -> Distribution:
+def checked_distribution(policy: SeekerPolicy, state: SearchState) -> tuple[int, ...]:
     """``policy.distribution(state)``, refused unless every move is onto the frontier."""
-    dist = policy.distribution(state)
-    frontier = state.frontier
-    for w, _ in dist:
-        if w not in frontier:
-            raise PolicyViolation(f"policy {policy.identifier} proposed a node off the frontier")
-    return dist
+    moves = policy.distribution(state)
+    if not state.frontier.issuperset(moves):
+        raise PolicyViolation(f"policy {policy.identifier} proposed a node off the frontier")
+    return moves
 
 
 TRIE_ENTRIES = 1 << 18  # a decision trie stops growing once it holds this many moves
@@ -518,7 +469,7 @@ def _walk(
     stop_at: int | None,
     cache: dict,
 ) -> list[int]:
-    if isinstance(policy, MixturePolicy) and not policy.pointwise:
+    if isinstance(policy, MixturePolicy):
         policy = pick_by_thresholds(policy.components, policy.thresholds, rng.random())[1]
     n = g.n
     last = g.source
@@ -557,7 +508,8 @@ def _walk(
     grow = trie[0] < TRIE_ENTRIES
     start = end = len(visited)  # the forced moves to store as one run are visited[start:end]
     while len(visited) < n and last != stop_at:
-        moves, sums = draw_table(checked_distribution(policy, state))
+        moves = checked_distribution(policy, state)
+        sums = uniform_table(len(moves))[1]
         if grow:
             if len(moves) == 1:
                 end += 1

@@ -66,12 +66,9 @@ class TestGen:
         assert manifest["params"] == {"n": 6, "d": 2}
 
 
-POINTWISE_CLOSED = "error: the closed forms cover the upfront sigma_star mixture only, not the pointwise one\n"
-
-
 def _stalk(tmp_path) -> Path:
-    """The corpus instance where the pointwise mixture's exact value (1481/192
-    at target 10, d = 5) differs from the upfront mixture's closed form (23/3)."""
+    """The corpus instance ``stalk_wide_d5``, whose target 10 has sigma_star's
+    closed form 23/3 at d = 5."""
     graph = tmp_path / "stalk.json"
     instance = next(i for i in default_corpus() if i.name == "stalk_wide_d5")
     graph.write_text(graph_to_json(instance.graph))
@@ -180,38 +177,37 @@ class TestEval:
         assert result.exit_code == 2
         assert "NodeOutOfRange" in result.output
 
-    def test_pointwise_closed_forms_refused(self, tmp_path):
-        graph = _stalk(tmp_path)
-        runner = CliRunner()
-        args = ["eval", "--graph", str(graph), "--strategy", "sigma_star", "--target", "10", "--d", "5"]
-        with runner.isolated_filesystem():
-            result = runner.invoke(main, [*args, "--mode", "closed", "--pointwise"])
-            assert result.exit_code == 2
-            assert result.stderr == POINTWISE_CLOSED
-            closed = invoke(runner, *args, "--mode", "closed")
-            assert closed.output.splitlines()[1] == "stalk,sigma_star,10,closed,23/3"
-            exact = invoke(runner, *args, "--mode", "exact", "--pointwise")
-            assert exact.output.splitlines()[1] == "stalk,sigma_star,10,exact,1481/192"
-
-    def test_pointwise_closed_forms_refused_before_the_bound(self, tmp_path):
-        graph = _stalk(tmp_path)
-        result = CliRunner().invoke(main, ["eval", "--graph", str(graph), "--strategy", "sigma_star",
-                                           "--target", "10", "--mode", "closed", "--pointwise"])
-        assert result.exit_code == 2
-        assert result.stderr == POINTWISE_CLOSED
-
 
 class TestBatch:
     def test_pointwise_closed_forms_refused(self, tmp_path):
+        """A spec that asks for a per-step mixture (``"pointwise"``) is refused,
+        not run as the upfront mixture in its place."""
+        graph = _stalk(tmp_path)
+        item = {"graph": str(graph), "strategy": "sigma_star", "target": 10, "d": 5, "mode": "closed"}
+        spec = tmp_path / "batch.json"
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            spec.write_text(json.dumps([{**item, "pointwise": True}]))
+            result = runner.invoke(main, ["batch", "--spec", str(spec)])
+            spec.write_text(json.dumps([item]))
+            upfront = invoke(runner, "batch", "--spec", str(spec))
+        assert result.exit_code == 2
+        assert result.stderr == "error: bad batch spec: item 0: unknown key 'pointwise'\n"
+        assert upfront.output.splitlines()[1] == "stalk,sigma_star,10,closed,23/3"
+
+    @pytest.mark.parametrize("key, value", [("trails", 5), ("pointwize", True)])
+    def test_unknown_key_refused(self, tmp_path, key, value):
+        """A misspelt field would otherwise be dropped, and its default run in its place."""
         graph = _stalk(tmp_path)
         spec = tmp_path / "batch.json"
-        spec.write_text(json.dumps([{"graph": str(graph), "strategy": "sigma_star", "target": 10, "d": 5,
-                                     "mode": "closed", "pointwise": True}]))
+        spec.write_text(json.dumps([{"graph": str(graph), "strategy": "dfs", "target": 10},
+                                    {"graph": str(graph), "strategy": "dfs", key: value}]))
         runner = CliRunner()
         with runner.isolated_filesystem():
             result = runner.invoke(main, ["batch", "--spec", str(spec)])
-        assert result.exit_code == 2
-        assert result.stderr == POINTWISE_CLOSED.replace("error: ", "error: bad batch spec: ")
+            assert not Path("run-manifest.json").exists()
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"error: bad batch spec: item 1: unknown key {key!r}\n"
 
     def test_rows_sorted(self, tmp_path):
         runner = CliRunner()
@@ -252,14 +248,14 @@ class TestEvalIsOneSpecBatch:
         path.write_text(graph_to_json(*example1_graph(10, 3)))
         return path
 
-    # the pointwise mixture in closed mode is refused by both, each in its own
-    # words (test_pointwise_closed_forms_refused)
-    @pytest.mark.parametrize("mode,strategy,pointwise", [
+    # target_given: the target is named on the command line and in the spec,
+    # instead of read from the graph file
+    @pytest.mark.parametrize("mode,strategy,target_given", [
         *[(m, s, False) for m in MODES for s in STRATEGIES],
-        ("exact", "sigma_star", True), ("mc", "sigma_star", True),
+        ("closed", "dfs", True), ("exact", "sigma_star", True), ("mc", "sigma_star", True),
     ])
-    def test_same_stdout(self, graph, tmp_path, mode, strategy, pointwise):
-        spec = {"graph": str(graph), "strategy": strategy, "mode": mode, "pointwise": pointwise}
+    def test_same_stdout(self, graph, tmp_path, mode, strategy, target_given):
+        spec = {"graph": str(graph), "strategy": strategy, "mode": mode}
         args = ["eval", "--graph", str(graph), "--strategy", strategy, "--mode", mode]
         if strategy in ("dfs_d", "sigma_star"):
             spec["d"] = 3
@@ -267,8 +263,9 @@ class TestEvalIsOneSpecBatch:
         if mode == "mc":
             spec.update(trials=300, seed=4)
             args += ["--trials", "300", "--seed", "4"]
-        if pointwise:
-            args.append("--pointwise")
+        if target_given:
+            spec["target"] = 7
+            args += ["--target", "7"]
         (tmp_path / "spec.json").write_text(json.dumps([spec]))
         runner = CliRunner()
         with runner.isolated_filesystem():

@@ -122,11 +122,21 @@ class TestMemoizedMatchesNaive:
                     assert naive == memo
 
 
-def dfs_or_lowest_label():
-    """A pointwise mixture with a label-order component: it reads labels, so
-    its memoized walks must not merge twins."""
-    return MixturePolicy([(Fraction(1, 2), DFSPolicy()), (Fraction(1, 2), LabelOrderPolicy())],
-                         kind="dfs_or_lowest", pointwise=True)
+class LabelReadingDFS(DFSPolicy):
+    """Plain DFS marked as reading labels, so its memoized walks key states by label."""
+
+    kind = "label_reading_dfs"
+    label_free = False
+
+
+class DFSOrLowest(LabelReadingDFS):
+    """DFS that may also jump to the lowest frontier label: it reads labels,
+    so merging false twins would change its values."""
+
+    kind = "dfs_or_lowest"
+
+    def eligible(self, state):
+        return {*super().eligible(state), min(state.frontier)}
 
 
 def count_states(monkeypatch):
@@ -150,9 +160,9 @@ def count_states(monkeypatch):
 class TestTwinMerging:
     def test_label_free_policies(self):
         assert all(p.label_free for p in (DFSPolicy(), BoundedDFSPolicy(2), AdjustedDFSPolicy(),
-                                         BreadthPreferringPolicy(), sigma_star(2, pointwise=True)))
+                                         BreadthPreferringPolicy()))
         assert not any(p.label_free for p in (LabelOrderPolicy(True), LabelOrderPolicy(False),
-                                              dfs_or_lowest_label()))
+                                              LabelReadingDFS(), DFSOrLowest()))
 
     def test_classes_of_a_palm_crown(self):
         g = palm_tree(7, 2)  # source 0, trunk 1, crown leaves 2..6
@@ -174,7 +184,7 @@ class TestTwinMerging:
     def test_label_reading_mixture_keeps_label_keys(self, monkeypatch):
         counts = count_states(monkeypatch)
         g = palm_tree(7, 2)
-        exact_expected_pos(dfs_or_lowest_label(), g, 6, memoized=True)
+        exact_expected_pos(LabelReadingDFS(), g, 6, memoized=True)
         exact_expected_pos(DFSPolicy(), g, 6, memoized=True)
         # source, trunk, then one state per nonempty set of the free leaves 2..5,
         # against one per count of them
@@ -186,11 +196,11 @@ class TestTwinMerging:
 def test_twin_merged_walks_match_sequence_keyed(g, d, data):
     """Memoized walks, which merge false twins for label-free policies, give
     the sequence-keyed values; the battery holds breadth_first, both label
-    orders and upfront sigma_star, pointwise sigma_star merges twins, and the
-    dfs / lowest-label mixture reads labels."""
+    orders and upfront sigma_star, whose components merge twins, and the
+    DFS that may jump to the lowest label reads labels."""
     h = data.draw(st.integers(0, g.n - 1), label="h")
     v, t = data.draw(st.permutations(range(g.n)), label="order")[:2]
-    policies = battery_policies(d) + [sigma_star(d, pointwise=True), dfs_or_lowest_label()]
+    policies = battery_policies(d) + [DFSOrLowest()]
     for policy in policies:
         label = (policy.identifier, sorted(g.edges))
         assert (exact_expected_pos(policy, g, h, memoized=True)
@@ -354,7 +364,7 @@ def test_equivalence_names_the_first_diverging_state(monkeypatch):
             yield g, weight
 
     def lowest_first(self, state):
-        return ((min(state.frontier), Fraction(1)),)
+        return (min(state.frontier),)
 
     monkeypatch.setattr(suites, "tree_classes", counting_classes)
     monkeypatch.setattr(AdjustedDFSPolicy, "distribution", lowest_first)
@@ -375,7 +385,7 @@ class Jumper(DFSPolicy):
 
     def distribution(self, state):
         hidden = [v for v in range(state.g.n) if v not in state.visited_set and v not in state.frontier]
-        return ((max(hidden), Fraction(1)),) if hidden else super().distribution(state)
+        return (max(hidden),) if hidden else super().distribution(state)
 
 
 @pytest.mark.parametrize("walk", [
@@ -398,10 +408,10 @@ def test_a_move_off_the_frontier_is_refused_by_every_engine(walk):
     lambda g: exact_expected_pos(sigma_star(2), g, 7, memoized=True),
     lambda g: exact_expected_pos(sigma_star(2), g, 7),
     lambda g: exact_visit_prob(DFSPolicy(), g, 3, 7, memoized=True),
-    lambda g: exact_visit_prob(sigma_star(2, pointwise=True), g, 3, 7),
+    lambda g: exact_visit_prob(sigma_star(2), g, 3, 7),
     lambda g: exact_position_table(DFSPolicy(), g),
     lambda g: exact_visit_table(AdjustedDFSPolicy(), g),
-    lambda g: episode_distribution(sigma_star(2, pointwise=True), g),
+    lambda g: episode_distribution(sigma_star(2), g),
     lambda g: exact_position_table(DFSPolicy(), line(1500), node_limit=None),
     lambda g: exact_expected_pos(DFSPolicy(), line(1500), 1499, node_limit=None, memoized=True),
     lambda g: reachable_observations(DFSPolicy(), g, lambda state, moves: None),
@@ -446,7 +456,7 @@ def brute_sequences(policy, g):
     """Every seeking sequence of ``policy`` on ``g`` with its probability: a
     plain recursive enumeration with ``Fraction`` products, an upfront mixture
     taken per component, and no state merged or folded."""
-    if isinstance(policy, MixturePolicy) and not policy.pointwise:
+    if isinstance(policy, MixturePolicy):
         out = {}
         for weight, component in policy.components:
             for seq, prob in brute_sequences(component, g).items():
@@ -459,9 +469,10 @@ def brute_sequences(policy, g):
         if len(state.visited) == g.n:
             out[tuple(state.visited)] = prob
             return
-        for w, p in policy.distribution(state):
+        moves = policy.distribution(state)
+        for w in moves:
             state.push(w)
-            walk(prob * p)
+            walk(prob / len(moves))
             state.pop()
 
     walk(Fraction(1))
@@ -491,14 +502,14 @@ def assert_oracle_matches_brute(policy, g):
 @given(at_most_one_cycle(max_n=7), st.integers(1, 3))
 def test_every_walk_matches_brute_sequences(g, d):
     """The integer folds and mass pushes give the values of a plain enumeration,
-    for the battery (deterministic label orders among it) and pointwise
-    sigma_star, whose weights have denominators 8k."""
-    for policy in battery_policies(d) + [sigma_star(d, pointwise=True)]:
+    for the battery (deterministic label orders among it) and the DFS that
+    may jump to the lowest label."""
+    for policy in battery_policies(d) + [DFSOrLowest()]:
         assert_oracle_matches_brute(policy, g)
 
 
 @pytest.mark.parametrize("policy", [DFSPolicy(), LabelOrderPolicy(lowest=False),
-                                    sigma_star(2), sigma_star(2, pointwise=True)],
+                                    sigma_star(2)],
                          ids=lambda p: p.identifier)
 def test_one_node_graph_matches_brute_sequences(policy):
     assert_oracle_matches_brute(policy, from_edges(1, []))

@@ -10,7 +10,7 @@ from hideseek.analysis import (hider_payoff, mixture_capture_bound, pairwise_pro
                                palm_expected_position)
 from hideseek.errors import (BadShape, DisconnectedGraph, EmptyFrontier, MultipleCycles, NodeOutOfRange,
                              SelfLoop)
-from hideseek.graphs import Graph, Subgraph, from_edges, path_profiles, simple_path_counts
+from hideseek.graphs import Graph, Subgraph, check_node, from_edges, path_profiles, simple_path_counts
 from hideseek.hider import (BenefitFunction, HiderStrategy, example1_graph, optimal_hiding_depths,
                             palm_tree)
 from hideseek.oracle import exact_visit_prob
@@ -39,8 +39,10 @@ def _ex1():
     # a walk that never meets its target would otherwise end at position n - 1
     (lambda: sample_position(DFSPolicy(), _ex1(), 7, random.Random(0)), NodeOutOfRange,
      "target 7 outside 0..6"),
+    # True == 1 and 0 < True < 3, so only the type check tells it from a node
+    (lambda: from_edges(3, [(0, True), (1, 2)]), NodeOutOfRange, "edge (0,True) outside 0..2"),
 ], ids=["disconnected", "weights-sum-to-half", "negative-weight", "zero-weight",
-        "visit-prob-same-node", "unknown-strategy", "sample-position-target"])
+        "visit-prob-same-node", "unknown-strategy", "sample-position-target", "bool-edge-label"])
 def test_bad_call_refused(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -75,6 +77,9 @@ def _palm_atoms(*weights):
     (lambda: BenefitFunction((Fraction(-1),)), (ValueError, "benefits must be non-negative")),
     # past the end of the table every distance gets the last value
     (lambda: BenefitFunction((Fraction(2), Fraction(1)))(7), Fraction(1)),
+    # a negative index would read the table from its far end
+    (lambda: BenefitFunction.step(2, 5)(-1), (ValueError, "distance -1 is negative")),
+    (lambda: BenefitFunction.geometric("1/2", 5)(-2), (ValueError, "distance -2 is negative")),
     (_palm_atoms(), (ValueError, "strategy needs at least one atom")),
     (_palm_atoms(Fraction(1), Fraction(0)), (ValueError, "atom probabilities must be positive")),
     (_palm_atoms(Fraction(3, 2), Fraction(-1, 2)), (ValueError, "atom probabilities must be positive")),
@@ -82,7 +87,8 @@ def _palm_atoms(*weights):
     (lambda: optimal_hiding_depths(BenefitFunction.constant(1), 1),
      (ValueError, "need at least two nodes")),
     (lambda: example1_graph(5, 0), (BadShape, "tail must have positive length")),
-], ids=["empty-benefit", "constant-no-nodes", "negative-benefit", "benefit-past-table", "no-atoms",
+], ids=["empty-benefit", "constant-no-nodes", "negative-benefit", "benefit-past-table",
+        "step-negative-distance", "geometric-negative-distance", "no-atoms",
         "zero-atom", "negative-atom", "atom-off-graph", "depths-one-node", "example1-no-tail"])
 def test_hider_refusal(call, want):
     assert _outcome(call) == want
@@ -101,8 +107,12 @@ _TWO_RINGS = frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)})
     (3, {(0, 1), (1, 2)}, 7, (NodeOutOfRange, "source 7 outside 0..2")),
     # the edge count refuses a huge node count before any per-node structure is built
     (100_000, {(0, 1)}, 0, (DisconnectedGraph, "1 edges cannot connect 100000 nodes")),
+    (2.5, {(0, 1)}, 0, (BadShape, "node count 2.5 is not an integer")),
+    (3, {(0, 1), (1, 2)}, True, (NodeOutOfRange, "source True outside 0..2")),
+    (3, {(0, 1.0), (1, 2)}, 0, (NodeOutOfRange, "edge (0,1.0) outside 0..2")),
 ], ids=["triangle-and-edge", "two-rings", "edge-out-of-range", "self-loop", "reversed-repeat",
-        "source-out-of-range", "too-few-edges"])
+        "source-out-of-range", "too-few-edges", "fractional-node-count", "bool-source",
+        "float-endpoint"])
 def test_graph_refused(n, edges, source, want):
     """``Graph(...)`` called directly checks what ``from_edges`` does, so no engine
     is handed a disconnected graph or a repeated, reversed or out-of-range edge."""
@@ -115,7 +125,8 @@ def test_graph_refused(n, edges, source, want):
     # a Graph cannot be disconnected, so only a Subgraph view reaches the chord count
     (lambda: path_profiles(Subgraph(frozenset(range(7)), _TWO_RINGS), 0),
      (MultipleCycles, "the search tree leaves out 5 edges (disconnected input?)")),
-], ids=["path-counts-two-cycles", "profiles-two-components"])
+    (lambda: check_node(3, True), (NodeOutOfRange, "node True outside 0..2")),
+], ids=["path-counts-two-cycles", "profiles-two-components", "bool-node"])
 def test_graphs_refusal(call, want):
     assert _outcome(call) == want
 
@@ -128,7 +139,7 @@ class _NoEligible(SeekerPolicy):
 @pytest.mark.parametrize("call, want", [
     (lambda: sigma_star(2).state_key(SearchState(_ex1())), None),
     (lambda: MixturePolicy([(Fraction(1, 2), DFSPolicy()), (Fraction(1, 2), SeekerPolicy())],
-                           kind="mix", pointwise=True).state_key(SearchState(_ex1())), None),
+                           kind="mix").state_key(SearchState(_ex1())), None),
     (lambda: _NoEligible().distribution(SearchState(_ex1())),
      (EmptyFrontier, "no eligible node to move to")),
 ], ids=["upfront-mixture-key", "keyless-component-key", "no-eligible-node"])

@@ -134,16 +134,16 @@ class TestDFS:
     def test_star_uniform(self):
         g = palm_tree(4, 1)
         dist = dfs_next(SearchState(g, [0]))
-        assert dist == ((1, Fraction(1, 3)), (2, Fraction(1, 3)), (3, Fraction(1, 3)))
+        assert dist == (1, 2, 3)
 
     def test_line_forced(self):
         g = line(4)
-        assert dfs_next(SearchState(g, [0, 1])) == ((2, Fraction(1)),)
+        assert dfs_next(SearchState(g, [0, 1])) == (2,)
 
     def test_palm_after_trunk(self):
         g = palm_tree(10, 3)
         dist = dfs_next(SearchState(g, [0, 1, 2]))
-        assert len(dist) == 7 and all(p == Fraction(1, 7) for _, p in dist)
+        assert dist == tuple(range(3, 10))
 
     def test_empty_frontier(self):
         g = line(3)
@@ -151,10 +151,8 @@ class TestDFS:
             dfs_next(SearchState(g, [0, 1, 2]))
 
 
-@pytest.mark.parametrize("policy", [
-    *(p for p in battery_policies(2) if not isinstance(p, MixturePolicy)),
-    sigma_star(2, pointwise=True),
-], ids=lambda p: p.kind)
+@pytest.mark.parametrize("policy", [p for p in battery_policies(2) if not isinstance(p, MixturePolicy)],
+                         ids=lambda p: p.kind)
 def test_finished_state_refused(policy):
     """Every per-step policy of the battery refuses a state with no frontier.
 
@@ -187,17 +185,16 @@ class TestBoundedDFS:
         # distance exceeds the bound are only taken when nothing near remains
         g, t = example1_graph(10, 3)
         state = SearchState(g, [0, 1, 2, 3])
-        dist = dict(dfs_d_next(state, 3))
-        assert set(dist) == {4, 9}
+        assert dfs_d_next(state, 3) == (4, 9)
 
     def test_far_neighbors_unpreferred(self):
         # visited deep down one ring arm: the frontier node beyond reach is
         # skipped in favour of the near side
         g, _ = example1_graph(10, 3)
         state = SearchState(g, [0, 4, 5, 6])
-        dist = dict(dfs_d_next(state, 3))
-        assert 7 not in dist  # view distance 4 > 3
-        assert set(dist) <= {1, 9}
+        moves = dfs_d_next(state, 3)
+        assert 7 not in moves  # view distance 4 > 3
+        assert set(moves) <= {1, 9}
 
 
 class TestAdjustedDFS:
@@ -213,13 +210,13 @@ class TestAdjustedDFS:
         state = SearchState(g, (0, 1, 2, 3, 4, 5))
         # hand trace: the ring is closed; 6 is reachable by one path through
         # the entrance while 7 has two paths, so the gate side is drained first
-        assert adfs_next(state) == ((6, Fraction(1)),)
-        assert dfs_next(state) == ((7, Fraction(1)),)
+        assert adfs_next(state) == (6,)
+        assert dfs_next(state) == (7,)
 
     def test_example1_tail_prioritized_after_cycle(self):
         g, t = example1_graph(7, 2)
         state = SearchState(g, (0, 3, 4, 5, 6))
-        assert adfs_next(state) == ((1, Fraction(1)),)
+        assert adfs_next(state) == (1,)
 
 
 class TestSigmaStar:
@@ -233,25 +230,12 @@ class TestSigmaStar:
         with pytest.raises(PolicyViolation):
             sigma_star(2).distribution(SearchState(g, [0]))
 
-    def test_pointwise_combination(self):
-        g, _ = example1_graph(10, 3)
-        state = SearchState(g, (0, 1, 2, 3))
-        mix = sigma_star(3, pointwise=True)
-        combined = dict(mix.distribution(state))
-        parts = [
-            (Fraction(3, 8), dict(dfs_next(state))),
-            (Fraction(3, 8), dict(adfs_next(state))),
-            (Fraction(1, 4), dict(dfs_d_next(state, 3))),
-        ]
-        for v in combined:
-            assert combined[v] == sum(w * part.get(v, Fraction(0)) for w, part in parts)
-
     def test_reduces_to_dfs_on_trees(self):
         g = palm_tree(6, 2)
-        mix = sigma_star(5, pointwise=True)
         for prefix in ([0], [0, 1], [0, 1, 4]):
             state = SearchState(g, prefix)
-            assert mix.distribution(state) == dfs_next(state)
+            for _, component in sigma_star(5).components:
+                assert component.distribution(state) == dfs_next(state), component.identifier
 
 
 class _CountingRandom(random.Random):
@@ -287,7 +271,7 @@ class TestExecute:
             kind = "rogue"
 
             def distribution(self, state):
-                return ((state.visited[0], Fraction(1)),)
+                return (state.visited[0],)
 
         g = line(4)
         with pytest.raises(PolicyViolation):
@@ -329,8 +313,8 @@ class TestPolicyRegistry:
     def test_label_order(self):
         g = palm_tree(4, 1)
         state = SearchState(g, [0])
-        assert LabelOrderPolicy(lowest=True).distribution(state) == ((1, Fraction(1)),)
-        assert LabelOrderPolicy(lowest=False).distribution(state) == ((3, Fraction(1)),)
+        assert LabelOrderPolicy(lowest=True).distribution(state) == (1,)
+        assert LabelOrderPolicy(lowest=False).distribution(state) == (3,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -341,15 +325,16 @@ def test_distributions_are_proper(n, data):
     episode = execute(DFSPolicy(), g, random.Random(data.draw(st.integers(0, 10_000))))
     k = data.draw(st.integers(1, n - 1))
     state = SearchState(g, episode[:k])
-    for policy in (DFSPolicy(), BoundedDFSPolicy(2), AdjustedDFSPolicy(), sigma_star(2, pointwise=True)):
-        dist = policy.distribution(state)
-        assert sum(p for _, p in dist) == 1
-        assert all(v in state.frontier for v, _ in dist)
+    for policy in (DFSPolicy(), BoundedDFSPolicy(2), AdjustedDFSPolicy(), BreadthPreferringPolicy(),
+                   LabelOrderPolicy()):
+        moves = policy.distribution(state)
+        assert moves and list(moves) == sorted(set(moves))  # distinct, so each has weight 1/k
+        assert state.frontier.issuperset(moves)
 
 
 def _policies(n):
     return [DFSPolicy(), AdjustedDFSPolicy(), LabelOrderPolicy(True), LabelOrderPolicy(False),
-            BreadthPreferringPolicy(), sigma_star(2, pointwise=True),
+            BreadthPreferringPolicy(),
             *(BoundedDFSPolicy(d) for d in (0, 1, 2, 3, n))]
 
 

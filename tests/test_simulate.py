@@ -21,12 +21,11 @@ from hideseek.seeker import (
     battery_policies,
     cumulative_thresholds,
     draw,
-    draw_table,
     execute,
     pick_by_thresholds,
     sample_position,
     sigma_star,
-    _uniform,
+    uniform_table,
 )
 from hideseek.simulate import WORKERS_ENV, monte_carlo, trial_rng
 
@@ -60,7 +59,7 @@ class TestSamplePosition:
            st.integers(0, 2**32))
     def test_sample_position_matches_full_episode(self, g, d, seed):
         tries: dict = {}  # one trie cache across every call, as each Monte Carlo chunk keeps
-        for policy in battery_policies(d) + [sigma_star(d, pointwise=True)]:
+        for policy in battery_policies(d):
             for index in range(2):
                 for h in range(g.n):
                     full = execute(policy, g, trial_rng(seed, index)).index(h)
@@ -192,10 +191,6 @@ class TestGoldenOutputs:
         ("dfs_d[4] unicyclic(40)",
          lambda: (BoundedDFSPolicy(4), HiderStrategy.pure(_unicyclic(40, 3), 39)), 1000,
          (12.196, 0.1944360804721937)),
-        # the one non-uniform stream: draw_table's generic running sum
-        ("pointwise sigma_star(3) crown(10,3)",
-         lambda: (sigma_star(3, pointwise=True), palm_crown_mixed(10, 3)), 3000,
-         (5.976666666666667, 0.03660052437666343)),
     ])
     def test_monte_carlo(self, name, make, trials, want):
         policy, strategy = make()
@@ -255,6 +250,16 @@ def _scan_pick(dist, r):
     return dist[-1][0]
 
 
+def _running_sums(dist):
+    """The running float sums of the weights of ``dist``, the last one left out."""
+    sums = []
+    acc = 0.0
+    for _, p in dist[:-1]:
+        acc += p.numerator / p.denominator
+        sums.append(acc)
+    return tuple(sums)
+
+
 class _Fixed:
     def __init__(self, r):
         self.r = r
@@ -271,7 +276,7 @@ def test_draw_bisects_like_the_linear_scan(raw, draws):
     at each sum and on either side of it too."""
     total = sum(raw)
     dist = tuple((10 + i, Fraction(x, total)) for i, x in enumerate(raw))
-    moves, sums = draw_table(dist)
+    moves, sums = tuple(v for v, _ in dist), _running_sums(dist)
     boundary = []
     acc = 0.0
     for _, p in dist:
@@ -282,16 +287,15 @@ def test_draw_bisects_like_the_linear_scan(raw, draws):
 
 
 def test_uniform_tables_match_the_generic_running_sums():
-    """A uniform distribution's running sums, read from the per-k table, are
-    bit for bit those ``draw_table`` sums from the weights of the same pairs
-    in a plain tuple, and ``draw`` picks alike at and beside each of them."""
+    """The per-k table's weight is 1/k and its running sums are bit for bit
+    those summed from k weights 1/k one by one, and ``draw`` picks alike at
+    and beside each of them."""
     for k in [*range(1, 65), UNIFORM_TABLE_K + 1]:
-        uniform = _uniform(range(10, 10 + k))
-        plain = tuple(uniform)
-        assert plain == tuple((10 + i, Fraction(1, k)) for i in range(k))
-        moves, sums = draw_table(uniform)
-        want_moves, want_sums = draw_table(plain)
-        assert moves == want_moves
+        moves = tuple(range(10, 10 + k))
+        weight, sums = uniform_table(k)
+        assert weight == Fraction(1, k)
+        plain = tuple((v, weight) for v in moves)
+        want_sums = _running_sums(plain)
         assert [x.hex() for x in sums] == [x.hex() for x in want_sums], k
         boundary = [0.0]
         for acc in want_sums:
@@ -305,8 +309,7 @@ def test_draw_keeps_its_running_float_sum():
     exact rule: at this draw over uniform thirds the two pick different
     nodes, so moving ``draw`` onto the thresholds would change seeded rows."""
     r = 0.6666666666666666
-    thirds = tuple((v, Fraction(1, 3)) for v in range(3))
-    assert draw(*draw_table(thirds), _Fixed(r)) == 2
+    assert draw((0, 1, 2), uniform_table(3)[1], _Fixed(r)) == 2
     assert pick_by_thresholds((0, 1, 2), cumulative_thresholds([Fraction(1, 3)] * 3), r) == 1
 
 

@@ -16,8 +16,9 @@ SCRIPT = """
 import json, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import hideseek.analysis as analysis
-from hideseek import suites
-from hideseek.hider import example1_graph
+from hideseek import oracle, simulate, suites
+from hideseek.hider import HiderStrategy, example1_graph
+from hideseek.seeker import sigma_star
 from tracer import Recorder, instrument
 
 rec = Recorder()
@@ -26,12 +27,21 @@ g, t = example1_graph(10, 3)
 analysis.expected_position_from_tables("dfs", g, 0, t)
 for report in (suites.run_equivalence(max_n=3), suites.run_lemma1(max_n=4), suites.run_lemma2(max_n=3)):
     assert report.passed, report.lines()
+simulate.monte_carlo(sigma_star(3), HiderStrategy.pure(g, t), 200, 7, workers=1)
+oracle.exact_expected_pos(sigma_star(3), g, t, memoized=True)
 kinds = {{tag for name, tag in zip(rec.name, rec.tag) if name == "seeker.distribution"}}
-print(json.dumps({{"names": sorted(set(rec.name)), "kinds": sorted(kinds)}}))
+calls = [i for i, name in enumerate(rec.name) if name == "seeker.distribution"]
+in_mc, in_pos = rec.nearest("simulate.monte_carlo"), rec.nearest("oracle.exact_expected_pos")
+print(json.dumps({{"names": sorted(set(rec.name)), "kinds": sorted(kinds),
+                  "in_monte_carlo": sum(in_mc[i] >= 0 for i in calls),
+                  "in_memoized_pos": sum(in_pos[i] >= 0 and rec.tag[in_pos[i]] is True for i in calls)}}))
 """
 
 
 def test_instrument_binds_and_records_a_closed_form():
+    """The spans a traced run records, down to the policy calls inside the
+    sampler and inside a memoized oracle walk, which
+    ``seeker.decision_reuse_ratio`` and ``oracle.states_expanded`` count."""
     script = SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "benchmarks"))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, cwd=ROOT)
@@ -49,6 +59,8 @@ def test_instrument_binds_and_records_a_closed_form():
     # distribution is defined once, on the base policy class, and each span
     # is still tagged with the kind of the policy that ran it
     assert {"dfs", "dfs_d", "adfs", "lowest_label", "highest_label", "breadth_first"} <= set(out["kinds"])
+    assert out["in_monte_carlo"] > 0
+    assert out["in_memoized_pos"] > 0
 
 
 MEMO_SCRIPT = """
