@@ -51,7 +51,6 @@ from .hider import (
 from .seeker import (
     SearchState,
     SeekerPolicy,
-    battery_policies,
     execute,
     policy_from_id,
     sigma_star,
@@ -67,12 +66,12 @@ from .analysis import (
     tree_dfs_expected_position,
 )
 from .oracle import (
-    adversarial_policy_battery,
     best_response_hider,
     exact_expected_pos,
     exact_position_table,
     exact_visit_prob,
     exact_visit_table,
     hider_value,
+    search_value_range,
 )
 from .simulate import MonteCarloResult, monte_carlo

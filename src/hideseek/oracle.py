@@ -19,8 +19,7 @@ their weights.  No table is kept once its question is answered.
 A memoized single-target walk also merges states that differ by swapping
 false twins (nodes with the same neighbours), when both of these hold:
 
-1. the policy is ``label_free`` (``dfs``, ``dfs_d``, ``adfs`` and
-   ``breadth_first``), and
+1. the policy is ``label_free`` (``dfs``, ``dfs_d`` and ``adfs``), and
 2. the walk has stop nodes, as only the single-target folds do, and so its
    fold reads no node label but theirs and the source's: the target ``h``
    of :func:`exact_expected_pos`, or ``v`` and ``t`` of :func:`exact_visit_prob`.
@@ -36,14 +35,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
 from .hider import BenefitFunction, HiderStrategy, tree_classes
-from .seeker import (MixturePolicy, SearchState, SeekerPolicy, battery_policies,
-                     checked_distribution, twin_classes, uniform_table)
+from .seeker import MixturePolicy, SearchState, SeekerPolicy, checked_distribution, twin_classes
 
 # twin merging makes larger palms cheap, but the limit stays: the Monte Carlo
 # rows' exact column and the lemma2 suite's cap read it
@@ -71,10 +68,11 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
     """Fold over the decision tree of ``policy`` on ``g``, children first.
 
     ``fold(state, edges)`` runs once per distinct state, with ``state`` at that
-    point and ``edges`` its k moves as ``(move, 1/k, child)``: ``child`` is
-    what the fold gave for the state the move leads to, or ``None`` for a move
-    onto a node in ``stop``, which is not expanded.  With ``memoized``, states
-    with equal ``policy.state_key`` are expanded once and share that value.
+    point and ``edges`` its k moves, each taken with probability 1/k, as
+    ``(move, child)``: ``child`` is what the fold gave for the state the move
+    leads to, or ``None`` for a move onto a node in ``stop``, which is not
+    expanded.  With ``memoized``, states with equal ``policy.state_key`` are
+    expanded once and share that value.
     A fold given stop nodes reads no node label except theirs and the
     source's, so with ``memoized``, stop nodes and a ``label_free`` policy the
     state key counts false twins alike (the module docstring says why).
@@ -87,13 +85,13 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
     state = SearchState(g, classes=twin_classes(g, (g.source, *stop)) if twins else None)
     memo: dict = {}
     # the states on the current visit sequence, root first, each as
-    # (memo key, its moves not yet taken, its edges so far, weight of the move into it)
-    frames = [_frame(policy, state, policy.state_key(state) if memoized else None, None)]
+    # (memo key, its moves not yet taken, its edges so far)
+    frames = [_frame(policy, state, policy.state_key(state) if memoized else None)]
     while True:
-        key, moves, edges, weight = frames[-1]
-        for w, p in moves:
+        key, moves, edges = frames[-1]
+        for w in moves:
             if w in stop:
-                edges.append((w, p, None))
+                edges.append((w, None))
                 continue
             state.push(w)
             child = policy.state_key(state) if memoized else None
@@ -101,9 +99,9 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
                 hit = memo.get(child)
                 if hit is not None:
                     state.pop()
-                    edges.append((w, p, hit))
+                    edges.append((w, hit))
                     continue
-            frames.append(_frame(policy, state, child, p))
+            frames.append(_frame(policy, state, child))
             break
         else:
             value = fold(state, edges)
@@ -112,15 +110,14 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
             frames.pop()
             if not frames:
                 return value
-            frames[-1][2].append((state.pop(), weight, value))
+            frames[-1][2].append((state.pop(), value))
 
 
-def _frame(policy: SeekerPolicy, state: SearchState, key, weight) -> tuple:
+def _frame(policy: SeekerPolicy, state: SearchState, key) -> tuple:
     """A stack frame of :func:`_expand` for the state just entered."""
     if len(state.visited) == state.g.n:
-        return key, iter(()), [], weight
-    moves = checked_distribution(policy, state)
-    return key, zip(moves, repeat(uniform_table(len(moves))[0])), [], weight
+        return key, iter(()), []
+    return key, iter(checked_distribution(policy, state)), []
 
 
 def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> tuple[int, Iterator[tuple[tuple, int, int]]]:
@@ -128,10 +125,10 @@ def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> tuple[int, Iterato
     probabilities, and every move as ``(visited, move, D * probability of
     reaching the state and taking the move)``, parents before children.
 
-    With ``L`` the lcm of the states' move counts k (each move's weight is
-    1/k), ``D = L**(n-1)``.  A state with a move left has taken at most n-2
-    moves, so its integer mass is a multiple of ``L`` and each move's share is
-    exact."""
+    With ``L`` the lcm of the states' non-zero move counts k (each move's
+    weight is 1/k), ``D = L**(n-1)``.  A state with a move left has taken at
+    most n-2 moves, so its integer mass is a multiple of ``L`` and each move's
+    share is exact."""
     records: list = []  # (visited, edges with child indices); children first, the root last
 
     def record(state, edges):
@@ -139,21 +136,30 @@ def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> tuple[int, Iterato
         return len(records) - 1
 
     _expand(policy, g, memoized, record)
-    lcm = math.lcm(*{p.denominator for _, edges in records for _, p, _ in edges})
-    total = lcm ** (g.n - 1)
+    # a finished state has no move, and math.lcm(0, ...) is 0
+    total = math.lcm(*{len(edges) for _, edges in records if edges}) ** (g.n - 1)
 
     def moves():
         mass = [0] * len(records)
         mass[-1] = total
         for i in reversed(range(len(records))):
             visited, edges = records[i]
-            share = mass[i] // lcm
-            for w, p, child in edges:
-                q = share * (p.numerator * (lcm // p.denominator))
+            if not edges:
+                continue
+            q = mass[i] // len(edges)
+            for w, child in edges:
                 mass[child] += q
                 yield visited, w, q
 
     return total, moves()
+
+
+def _mean(terms, k: int) -> Fraction:
+    """The sum of ``terms``, rationals, over ``k``, the state's move count, as one
+    reduced ``Fraction``: the terms are summed as integers over the lcm of their denominators."""
+    dens = [x.denominator for x in terms]
+    lcm = math.lcm(*dens)
+    return Fraction(sum(x.numerator * (lcm // den) for x, den in zip(terms, dens)), lcm * k)
 
 
 def _dot(terms) -> Fraction:
@@ -180,7 +186,7 @@ def exact_expected_pos(
 
     def value(state, edges):
         k = len(state.visited)
-        return _dot([(p, k if child is None else child) for _, p, child in edges])
+        return _mean([k if child is None else child for _, child in edges], len(edges))
 
     return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,)))
 
@@ -206,7 +212,7 @@ def exact_visit_prob(
         return Fraction(0)
 
     def value(state, edges):
-        return _dot([(p, 1 if w == v else child) for w, p, child in edges if w != t])
+        return _mean([1 if w == v else child for w, child in edges if w != t], len(edges))
 
     return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t)))
 
@@ -312,26 +318,46 @@ def hider_value(policy: SeekerPolicy, strategy: HiderStrategy, *, node_limit: in
     return sum((p * tables[g][h] for g, h, p in strategy.atoms), Fraction(0))
 
 
-def adversarial_policy_battery(
-    strategy: HiderStrategy,
-    d: int,
-    *,
-    node_limit: int | None = DEFAULT_NODE_LIMIT,
-) -> list[tuple[str, Fraction]]:
-    """Expected positions for the whole policy battery, with bound ``d``, against
-    a hiding strategy.
+class _EverySearch(SeekerPolicy):
+    """Every expanding search at once: the whole frontier is eligible, and a state
+    is keyed by its visited set, all that the positions still to come depend on."""
 
-    An upfront mixture is read off the values of its components, each
-    computed once however many battery entries need it."""
-    values: dict[str, Fraction] = {}
+    kind = "every_search"
 
-    def value(policy: SeekerPolicy) -> Fraction:
-        key = policy.identifier
-        if key not in values:
-            values[key] = hider_value(policy, strategy, node_limit=node_limit)
-        return values[key]
+    def eligible(self, state: SearchState) -> Sequence[int]:
+        return state.frontier
 
-    return [(policy.identifier, componentwise(policy, value)) for policy in battery_policies(d)]
+    def state_key(self, state: SearchState) -> Hashable:
+        return (state.key,)
+
+
+def search_value_range(strategy: HiderStrategy) -> tuple[Fraction, Fraction]:
+    """The least and the greatest expected position of the hidden node over every
+    expanding search of the strategy's one graph (``ValueError`` for more graphs).
+
+    Any seeker, randomised or label-reading, mixes deterministic orders, so
+    ``least == greatest`` holds every seeker to that value.  From k visited
+    nodes a move onto ``w`` finds the hider there at position k, so a state's
+    range is the min and the max over its moves of k * P(w) plus the child's."""
+    graphs = {g for g, _, _ in strategy.atoms}
+    if len(graphs) > 1:
+        raise ValueError(f"the strategy is spread over {len(graphs)} graphs; the range needs one")
+    g, = graphs
+    _guard(g.n)
+    denom = math.lcm(*(p.denominator for _, _, p in strategy.atoms))
+    weight = [0] * g.n  # denom * P(hider at each node)
+    for _, h, p in strategy.atoms:
+        weight[h] += p.numerator * (denom // p.denominator)
+
+    def value(state, edges):
+        if not edges:
+            return 0, 0
+        k = len(state.visited)
+        return (min(k * weight[w] + child[0] for w, child in edges),
+                max(k * weight[w] + child[1] for w, child in edges))
+
+    least, greatest = _expand(_EverySearch(), g, True, value)
+    return Fraction(least, denom), Fraction(greatest, denom)
 
 
 def reachable_observations(policy: SeekerPolicy, g: Graph,
@@ -343,6 +369,6 @@ def reachable_observations(policy: SeekerPolicy, g: Graph,
 
     def fold(state, edges):
         if edges:
-            look(state, tuple([w for w, _, _ in edges]))
+            look(state, tuple([w for w, _ in edges]))
 
     _expand(policy, g, False, fold)

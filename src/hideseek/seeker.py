@@ -56,6 +56,9 @@ class SearchState:
     twins and ``canon`` maps each node to its class's representative.  The
     sampler, which reads no key, passes all-zero shifts, so its ``key`` is
     the visit count and no move copies an n-bit integer.
+
+    A replayed ``visited`` refuses a node outside the graph (``NodeOutOfRange``)
+    or off the frontier (``ValueError`` naming its step).
     """
 
     __slots__ = ("g", "visited", "visited_set", "frontier", "active_stack", "key", "canon",
@@ -77,8 +80,12 @@ class SearchState:
         self._rank = [0] * n   # place in the visit order
         self._inner = 0        # edges between visited nodes
         self._view_edges = 0
-        for v in (g.source,) if visited is None else visited:
-            self.push(v)
+        try:
+            for step, v in enumerate((g.source,) if visited is None else visited):
+                self.push(v)
+        except KeyError:  # push meets a node off the frontier first, at frontier.remove
+            check_node(n, v)
+            raise ValueError(f"step {step}: node {v} is not on the frontier") from None
 
     def push(self, w: int) -> None:
         """Visit the frontier node ``w``."""
@@ -175,25 +182,25 @@ def twin_classes(g: Graph, fixed: Iterable[int]) -> tuple[list[int], list[int]]:
     return shift, canon
 
 
-# 1/k and the running float sums of k weights 1/k, keyed by k: the weight and
-# the draw of a uniform move among k.  Every k is the size of part of one
-# node's neighbourhood, so the table holds at most one entry per k up to the
-# largest degree; a k above UNIFORM_TABLE_K is built afresh on each call
-# instead (all k up to a degree in the thousands would hold millions of floats).
-_UNIFORM_TABLES: dict[int, tuple[Fraction, tuple[float, ...]]] = {}
+# The running float sums of k weights 1/k, keyed by k: the draw of a uniform
+# move among k.  Every k is the size of part of one node's neighbourhood, so
+# the table holds at most one entry per k up to the largest degree; a k above
+# UNIFORM_TABLE_K is built afresh on each call instead (all k up to a degree
+# in the thousands would hold millions of floats).
+_UNIFORM_TABLES: dict[int, tuple[float, ...]] = {}
 UNIFORM_TABLE_K = 256
 
 
-def uniform_table(k: int) -> tuple[Fraction, tuple[float, ...]]:
-    """The weight 1/k of each of k moves, and the running float sums that
-    :func:`draw` bisects.  The last move's sum is left out: :func:`draw` takes
-    the last move when every other sum is at most the uniform draw."""
+def uniform_table(k: int) -> tuple[float, ...]:
+    """The running float sums of k weights 1/k that :func:`draw` bisects.  The
+    last move's sum is left out: :func:`draw` takes the last move when every
+    other sum is at most the uniform draw."""
     table = _UNIFORM_TABLES.get(k)
     if table is None:
         # a running float sum, not cumulative_thresholds: the two differ in the
         # last bit (thirds sum to 0.6666666666666666, the threshold of 2/3 is
         # 0.6666666666666667), so swapping them would change seeded rows
-        table = (Fraction(1, k), tuple(accumulate(repeat(1 / k, k - 1))))
+        table = tuple(accumulate(repeat(1 / k, k - 1)))
         if k <= UNIFORM_TABLE_K:
             _UNIFORM_TABLES[k] = table
     return table
@@ -322,30 +329,6 @@ def _first_with(state: SearchState, stack, members: set[int]) -> int:
     raise EmptyFrontier("no stacked node borders the requested set")
 
 
-class LabelOrderPolicy(SeekerPolicy):
-    """Deterministic battery policy: always take the lowest (or highest) label."""
-
-    def __init__(self, lowest: bool = True):
-        self.lowest = lowest
-        self.kind = "lowest_label" if lowest else "highest_label"
-
-    def eligible(self, state: SearchState) -> Sequence[int]:
-        return (min(state.frontier) if self.lowest else max(state.frontier),)
-
-    def state_key(self, state: SearchState) -> Hashable:
-        # reads only the visited set, not the order
-        return (state.key,)
-
-
-class BreadthPreferringPolicy(_RecencyPolicy):
-    """Anti-DFS battery policy: the earliest visited node stays active."""
-
-    kind = "breadth_first"
-
-    def eligible(self, state: SearchState) -> Sequence[int]:
-        return state.unvisited_neighbors(state.active_stack[0])
-
-
 class MixturePolicy(SeekerPolicy):
     """Upfront mixture: one component is drawn per episode and played throughout,
     so the mixture itself has no per-step distribution."""
@@ -379,9 +362,12 @@ SIGMA_STAR_WEIGHTS: dict[str, Fraction] = {
 
 def check_bound(kind: str, d: int | None) -> None:
     """Refuse a bound ``d`` that the policy ``kind`` does not take: ``dfs_d``
-    needs ``d >= 0`` and ``sigma_star`` needs ``d >= 1``; the rest ignore it."""
-    if d is None and kind in ("dfs_d", "sigma_star"):
-        raise ValueError(f"{kind} needs a bound d")
+    needs an ``int`` (not a ``bool``) ``d >= 0`` and ``sigma_star`` one ``d >= 1``;
+    the rest ignore it."""
+    if kind not in ("dfs_d", "sigma_star"):
+        return
+    if type(d) is not int:
+        raise ValueError(f"{kind} needs a bound d" if d is None else f"bound {d!r} is not an integer")
     if kind == "dfs_d" and d < 0:
         raise ValueError("bound must be non-negative")
     if kind == "sigma_star" and d < 1:
@@ -406,19 +392,6 @@ def policy_from_id(kind: str, d: int | None = None) -> SeekerPolicy:
     if kind == "sigma_star":
         return sigma_star(d)
     raise ValueError(f"unknown policy id {kind!r}")
-
-
-def battery_policies(d: int) -> list[SeekerPolicy]:
-    """The policy battery used for strategy-invariance checks."""
-    return [
-        DFSPolicy(),
-        BoundedDFSPolicy(d),
-        AdjustedDFSPolicy(),
-        sigma_star(d),
-        LabelOrderPolicy(lowest=True),
-        LabelOrderPolicy(lowest=False),
-        BreadthPreferringPolicy(),
-    ]
 
 
 def draw(moves: Sequence[int], sums: Sequence[float], rng: random.Random) -> int:
@@ -509,7 +482,7 @@ def _walk(
     start = end = len(visited)  # the forced moves to store as one run are visited[start:end]
     while len(visited) < n and last != stop_at:
         moves = checked_distribution(policy, state)
-        sums = uniform_table(len(moves))[1]
+        sums = uniform_table(len(moves))
         if grow:
             if len(moves) == 1:
                 end += 1

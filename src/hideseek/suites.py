@@ -31,7 +31,6 @@ from .hider import (
 )
 from .oracle import (
     _guard,
-    adversarial_policy_battery,
     best_response_hider,
     componentwise,
     exact_expected_pos,
@@ -39,6 +38,7 @@ from .oracle import (
     exact_visit_table,
     hider_value,
     reachable_observations,
+    search_value_range,
 )
 from .seeker import (
     SIGMA_STAR_WEIGHTS,
@@ -112,25 +112,25 @@ def run_lemma1(max_n: int = 7) -> SuiteReport:
     return report
 
 
-def _check_palm_battery(report: SuiteReport, n: int, d: int, check_id: str, agree: str) -> None:
-    """Crown-uniform hiding on the palm of height ``d`` holds every battery
-    policy to (n+d-1)/2; the pass detail reads ``<count> policies <agree> <value>``."""
-    strategy = palm_crown_mixed(n, d)
+def _check_palm_crown(report: SuiteReport, n: int, d: int, check_id: str) -> None:
+    """Crown-uniform hiding on the palm of height ``d`` holds every expanding
+    search to (n+d-1)/2: the least and the greatest value over them both equal it."""
     want = palm_expected_position(n, d)
-    results = adversarial_policy_battery(strategy, d)
-    bad = [f"{name}: {value}" for name, value in results if value != want]
-    report.add(check_id, not bad, "; ".join(bad) if bad else f"{len(results)} policies {agree} {want}")
+    least, greatest = search_value_range(palm_crown_mixed(n, d))
+    tie = least == greatest == want
+    report.add(check_id, tie, f"every expanding search = {want}" if tie
+               else f"expanding searches range over [{least}, {greatest}], want {want}")
 
 
 def run_lemma2(max_n: int = 10) -> SuiteReport:
-    """Crown-uniform hiding on palms pins every battery policy to (n+d-1)/2.
+    """Crown-uniform hiding on palms pins every expanding search to (n+d-1)/2.
 
     ``max_n`` is checked against the oracle's limit before the first palm."""
     _guard(max_n)
     report = SuiteReport("lemma2")
     for n in range(2, max_n + 1):
         for d in range(1, n):
-            _check_palm_battery(report, n, d, f"palm n={n} d={d}", "=")
+            _check_palm_crown(report, n, d, f"palm n={n} d={d}")
     return report
 
 
@@ -285,7 +285,7 @@ def run_equilibrium(
                 f"search max {best}, palm-crown payoff {crown_payoff}, target {want}",
             )
         for d_star in sorted(tie_depths):
-            _check_palm_battery(report, n, d_star, f"seeker-tie n={n} d={d_star}", "tie at")
+            _check_palm_crown(report, n, d_star, f"seeker-tie n={n} d={d_star}")
     if benefit_specs is None:
         tie = optimal_hiding_depths(BenefitFunction.geometric("0.9", 10), 10)
         report.add(

@@ -423,9 +423,9 @@ class TestVerify:
 
     def test_lemma2_beyond_the_oracle_limit_refused_before_any_palm(self, monkeypatch):
         def sentinel(*args, **kwargs):
-            pytest.fail("the battery ran before max_n was checked")
+            pytest.fail("a palm was searched before max_n was checked")
 
-        monkeypatch.setattr(suites, "adversarial_policy_battery", sentinel)
+        monkeypatch.setattr(suites, "search_value_range", sentinel)
         limit = oracle.DEFAULT_NODE_LIMIT
         runner = CliRunner()
         with runner.isolated_filesystem():
@@ -441,7 +441,7 @@ class TestVerify:
             result = invoke(runner, "verify", "lemma2", "--max-n", str(limit))
         assert result.exit_code == 0
         lines = result.output.splitlines()
-        assert lines[-2] == f"[lemma2] PASS palm n={limit} d={limit - 1} (7 policies = {limit - 1})"
+        assert lines[-2] == f"[lemma2] PASS palm n={limit} d={limit - 1} (every expanding search = {limit - 1})"
         assert lines[-1].startswith("[lemma2] suite: PASS")
 
     def test_a_repeated_size_runs_once(self):

@@ -20,7 +20,6 @@ from hideseek.hider import (
     tree_classes,
 )
 from hideseek.oracle import (
-    adversarial_policy_battery,
     best_response_hider,
     episode_distribution,
     exact_expected_pos,
@@ -29,22 +28,21 @@ from hideseek.oracle import (
     exact_visit_table,
     hider_value,
     reachable_observations,
+    search_value_range,
 )
 from hideseek.seeker import (
     AdjustedDFSPolicy,
     SearchState,
     BoundedDFSPolicy,
-    BreadthPreferringPolicy,
     DFSPolicy,
-    LabelOrderPolicy,
     MixturePolicy,
-    battery_policies,
     execute,
     sigma_star,
     twin_classes,
 )
 
 from graph_strategies import at_most_one_cycle, with_false_twins
+from policy_battery import BreadthPreferringPolicy, LabelOrderPolicy, battery_policies
 
 
 def line(n):
@@ -261,29 +259,39 @@ class TestBestResponse:
             best_response_hider(10, [BenefitFunction.constant(10)], DFSPolicy())
 
 class TestBattery:
+    """Each seeker of the battery, against a hiding strategy, lies within the
+    least and greatest value over every expanding search."""
+
+    def values(self, strategy, d):
+        least, greatest = search_value_range(strategy)
+        values = {p.identifier: hider_value(p, strategy) for p in battery_policies(d)}
+        assert all(least <= value <= greatest for value in values.values()), (least, greatest, values)
+        return values
+
     def test_palm_6_2(self):
-        results = dict(adversarial_policy_battery(palm_crown_mixed(6, 2), 2))
-        assert results["lowest_label"] == Fraction(7, 2)
-        assert set(results.values()) == {Fraction(7, 2)}
+        values = self.values(palm_crown_mixed(6, 2), 2)
+        assert values["lowest_label"] == Fraction(7, 2)
+        assert set(values.values()) == {Fraction(7, 2)}
 
     def test_line_deterministic(self):
-        results = adversarial_policy_battery(palm_crown_mixed(6, 5), 5)
-        assert all(value == 5 for _, value in results)
+        assert set(self.values(palm_crown_mixed(6, 5), 5).values()) == {5}
 
     def test_palm_8_3_mixture(self):
-        results = dict(adversarial_policy_battery(palm_crown_mixed(8, 3), 3))
-        assert results[sigma_star(3).identifier] == 5
+        assert self.values(palm_crown_mixed(8, 3), 3)[sigma_star(3).identifier] == 5
 
     def test_mixture_read_off_components_on_a_unicyclic_graph(self):
-        """The battery's sigma_star value, mixed from its components' values,
-        is the mixture's own value where the components disagree."""
+        """sigma_star's value is its components' values mixed by their weights,
+        where the components disagree."""
         g, t = example1_graph(8, 2)
         strategy = HiderStrategy(((g, t, Fraction(1, 2)), (g, 6, Fraction(1, 4)), (g, 7, Fraction(1, 4))))
-        results = dict(adversarial_policy_battery(strategy, 2))
-        assert len({results[p.identifier] for p in battery_policies(2)[:3]}) > 1
-        assert results[sigma_star(2).identifier] == hider_value(sigma_star(2), strategy)
+        values = self.values(strategy, 2)
+        policy = sigma_star(2)
+        assert len({values[p.identifier] for _, p in policy.components}) > 1
+        assert values[policy.identifier] == sum(w * values[p.identifier] for w, p in policy.components)
 
     def test_every_graph_checked_before_any_walk(self, monkeypatch):
+        """``hider_value`` checks every graph of the strategy against the guard
+        before it walks the first."""
         def sentinel(*args, **kwargs):
             pytest.fail("a decision tree was walked before every graph was checked")
 
@@ -291,7 +299,76 @@ class TestBattery:
         strategy = HiderStrategy(((palm_tree(6, 2), 5, Fraction(1, 2)),
                                   (palm_tree(oracle.DEFAULT_NODE_LIMIT + 1, 2), 5, Fraction(1, 2))))
         with pytest.raises(TooLarge, match=f"n = {oracle.DEFAULT_NODE_LIMIT + 1} exceeds"):
-            adversarial_policy_battery(strategy, 2)
+            hider_value(DFSPolicy(), strategy)
+
+
+def brute_value_range(strategy):
+    """The least and greatest expected position of the hidden node over every
+    expanding-search order of the strategy's one graph, by plain push/pop
+    recursion over the orders, with ``Fraction`` sums."""
+    g = strategy.atoms[0][0]
+    p = [Fraction(0)] * g.n
+    for _, h, q in strategy.atoms:
+        p[h] += q
+    state = SearchState(g)
+    values = []
+
+    def walk(value):
+        if len(state.visited) == g.n:
+            values.append(value)
+            return
+        for w in sorted(state.frontier):
+            k = len(state.visited)
+            state.push(w)
+            walk(value + k * p[w])
+            state.pop()
+
+    walk(Fraction(0))
+    return min(values), max(values)
+
+
+class TestSearchValueRange:
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_palm_crowns_tie_every_search(self, n):
+        for d in range(1, n):
+            want = Fraction(n + d - 1, 2)
+            assert search_value_range(palm_crown_mixed(n, d)) == (want, want), d
+
+    def test_example1_target(self):
+        g, t = example1_graph(7, 2)
+        assert search_value_range(HiderStrategy.pure(g, t)) == (2, 6)
+
+    def test_example1_mix(self):
+        g, t = example1_graph(7, 2)
+        strategy = HiderStrategy(((g, t, Fraction(1, 2)), (g, 6, Fraction(1, 4)), (g, 5, Fraction(1, 4))))
+        assert search_value_range(strategy) == (Fraction(11, 4), Fraction(21, 4))
+
+    def test_two_graphs_refused(self):
+        strategy = HiderStrategy(((palm_tree(5, 2), 4, Fraction(1, 2)), (line(5), 4, Fraction(1, 2))))
+        with pytest.raises(ValueError, match="spread over 2 graphs"):
+            search_value_range(strategy)
+
+    def test_guard_refuses_before_any_walk(self, monkeypatch):
+        def sentinel(*args, **kwargs):
+            pytest.fail("a decision tree was walked before the graph was checked")
+
+        monkeypatch.setattr(oracle, "_expand", sentinel)
+        n = oracle.DEFAULT_NODE_LIMIT + 1
+        with pytest.raises(TooLarge, match=f"n = {n} exceeds"):
+            search_value_range(palm_crown_mixed(n, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(at_most_one_cycle(max_n=7), st.data())
+def test_search_value_range_matches_brute_orders(g, data):
+    """The memoized fold over visited sets gives the brute least and greatest
+    over every order, for random positive rational hiding weights."""
+    nodes = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True), label="nodes")
+    raw = data.draw(st.lists(st.fractions(min_value=Fraction(1, 60), max_value=10, max_denominator=60),
+                             min_size=len(nodes), max_size=len(nodes)), label="weights")
+    total = sum(raw)
+    strategy = HiderStrategy(tuple((g, h, w / total) for h, w in zip(nodes, raw)))
+    assert search_value_range(strategy) == brute_value_range(strategy)
 
 
 def test_mixture_tables_merge_like_fraction_sums():

@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from hideseek.analysis import (hider_payoff, mixture_capture_bound, pairwise_probability,
-                               palm_expected_position)
+from hideseek.analysis import (expected_position_from_tables, hider_payoff, mixture_capture_bound,
+                               pairwise_probability, palm_expected_position)
 from hideseek.errors import (BadShape, DisconnectedGraph, EmptyFrontier, MultipleCycles, NodeOutOfRange,
                              SelfLoop)
 from hideseek.graphs import Graph, Subgraph, check_node, from_edges, path_profiles, simple_path_counts
-from hideseek.hider import (BenefitFunction, HiderStrategy, example1_graph, optimal_hiding_depths,
-                            palm_tree)
+from hideseek.hider import (BenefitFunction, HiderStrategy, example1_graph, example2_graph,
+                            optimal_hiding_depths, palm_tree)
 from hideseek.oracle import exact_visit_prob
 from hideseek.seeker import (AdjustedDFSPolicy, DFSPolicy, MixturePolicy, SearchState, SeekerPolicy,
-                             sample_position, sigma_star)
+                             policy_from_id, sample_position, sigma_star)
 from hideseek.simulate import monte_carlo
 
 
@@ -142,7 +142,18 @@ class _NoEligible(SeekerPolicy):
                            kind="mix").state_key(SearchState(_ex1())), None),
     (lambda: _NoEligible().distribution(SearchState(_ex1())),
      (EmptyFrontier, "no eligible node to move to")),
-], ids=["upfront-mixture-key", "keyless-component-key", "no-eligible-node"])
+    # a bound must be an int: 6.0 and True used to build dfs_d[6.0] and dfs_d[True]
+    (lambda: policy_from_id("dfs_d", d=6.0), (ValueError, "bound 6.0 is not an integer")),
+    (lambda: expected_position_from_tables("dfs_d", example2_graph(20, 6)[0], 0, 6, 6.0),
+     (ValueError, "bound 6.0 is not an integer")),
+    (lambda: sigma_star(True), (ValueError, "bound True is not an integer")),
+    # a replayed visit sequence used to fail with a bare KeyError
+    (lambda: SearchState(palm_tree(5, 2), [1]), (ValueError, "step 0: node 1 is not on the frontier")),
+    (lambda: SearchState(palm_tree(5, 2), [0, 9]), (NodeOutOfRange, "node 9 outside 0..4")),
+    (lambda: SearchState(palm_tree(5, 2), [0, 1, 1]), (ValueError, "step 2: node 1 is not on the frontier")),
+], ids=["upfront-mixture-key", "keyless-component-key", "no-eligible-node", "float-bound",
+        "float-bound-closed-form", "bool-bound", "replay-off-frontier-first", "replay-out-of-range",
+        "replay-repeat"])
 def test_seeker_refusal(call, want):
     assert _outcome(call) == want
 

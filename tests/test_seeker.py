@@ -14,13 +14,10 @@ from hideseek.hider import example1_graph, palm_tree, prufer_decode
 from hideseek.seeker import (
     AdjustedDFSPolicy,
     BoundedDFSPolicy,
-    BreadthPreferringPolicy,
     DFSPolicy,
-    LabelOrderPolicy,
     MixturePolicy,
     SearchState,
     SeekerPolicy,
-    battery_policies,
     execute,
     policy_from_id,
     sample_position,
@@ -29,6 +26,7 @@ from hideseek.seeker import (
 )
 
 from graph_strategies import at_most_one_cycle, long_chains
+from policy_battery import BreadthPreferringPolicy, LabelOrderPolicy, battery_policies
 
 
 def line(n):

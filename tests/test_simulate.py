@@ -18,7 +18,6 @@ from hideseek.seeker import (
     AdjustedDFSPolicy,
     BoundedDFSPolicy,
     DFSPolicy,
-    battery_policies,
     cumulative_thresholds,
     draw,
     execute,
@@ -30,6 +29,7 @@ from hideseek.seeker import (
 from hideseek.simulate import WORKERS_ENV, monte_carlo, trial_rng
 
 from graph_strategies import at_most_one_cycle, long_chains
+from policy_battery import battery_policies
 
 
 def line(n):
@@ -287,14 +287,12 @@ def test_draw_bisects_like_the_linear_scan(raw, draws):
 
 
 def test_uniform_tables_match_the_generic_running_sums():
-    """The per-k table's weight is 1/k and its running sums are bit for bit
-    those summed from k weights 1/k one by one, and ``draw`` picks alike at
-    and beside each of them."""
+    """The per-k running sums are bit for bit those summed from k weights 1/k
+    one by one, and ``draw`` picks alike at and beside each of them."""
     for k in [*range(1, 65), UNIFORM_TABLE_K + 1]:
         moves = tuple(range(10, 10 + k))
-        weight, sums = uniform_table(k)
-        assert weight == Fraction(1, k)
-        plain = tuple((v, weight) for v in moves)
+        sums = uniform_table(k)
+        plain = tuple((v, Fraction(1, k)) for v in moves)
         want_sums = _running_sums(plain)
         assert [x.hex() for x in sums] == [x.hex() for x in want_sums], k
         boundary = [0.0]
@@ -309,7 +307,7 @@ def test_draw_keeps_its_running_float_sum():
     exact rule: at this draw over uniform thirds the two pick different
     nodes, so moving ``draw`` onto the thresholds would change seeded rows."""
     r = 0.6666666666666666
-    assert draw((0, 1, 2), uniform_table(3)[1], _Fixed(r)) == 2
+    assert draw((0, 1, 2), uniform_table(3), _Fixed(r)) == 2
     assert pick_by_thresholds((0, 1, 2), cumulative_thresholds([Fraction(1, 3)] * 3), r) == 1
 
 
