@@ -8,28 +8,28 @@ for the children-first folds, one per decision DAG for the tables) and
 return reduced ``fractions.Fraction`` values, each built once.
 
 Single-target enumeration is sequence-keyed by default (no state is ever
-merged).  Passing ``memoized=True`` merges the states with equal
-``SeekerPolicy.state_key``, which turns the tree into a DAG; the two modes are
-required to agree and that equality is part of the test suite.  Single-target
-quantities fold during the expansion and stop at their targets; whole tables
-always merge, store the DAG and push probability mass through it from the
-root.  Upfront mixtures are always enumerated componentwise and recombined by
-their weights.  No table is kept once its question is answered.
+merged).  Passing ``memoized=True`` merges the states with equal visited
+sets and equal ``SeekerPolicy.state_key``, which turns the tree into a DAG;
+the two modes are required to agree and that equality is part of the test
+suite.  Single-target quantities fold during the expansion and stop at their
+targets; whole tables always merge, store the DAG and push probability mass
+through it from the root.  Upfront mixtures are always enumerated
+componentwise and recombined by their weights.  No table is kept once its
+question is answered.
 
-A memoized single-target walk also merges states that differ by swapping
-false twins (nodes with the same neighbours), when both of these hold:
-
-1. the policy is ``label_free`` (``dfs``, ``dfs_d`` and ``adfs``), and
-2. the walk has stop nodes, as only the single-target folds do, and so its
-   fold reads no node label but theirs and the source's: the target ``h``
-   of :func:`exact_expected_pos`, or ``v`` and ``t`` of :func:`exact_visit_prob`.
-
-Such a swap is an automorphism that fixes every node the fold reads, so the
-merged states have equal values; the state key then counts the visits per
-twin class (see :func:`hideseek.seeker.twin_classes`).  ``palm_tree(n, d)``
-thus takes n - 1 states for a crown target instead of 2**(n - d - 1) + d - 1.
-The tables record the visited nodes by label, so they keep the plain
-visited mask as their key.
+A memoized walk of a ``label_free`` policy (``dfs``, ``dfs_d`` and ``adfs``)
+whose fold reads no node label but the source's and its stop nodes' (``h``
+of :func:`exact_expected_pos`, ``v`` and ``t`` of :func:`exact_visit_prob`)
+also merges false twins, nodes with the same neighbours (:func:`twin_classes`):
+it expands only the lowest of a state's moves in each twin class and gives
+the others its value.  Swapping two unvisited twins fixes the state, so a
+label-free policy makes them eligible together; a move onto a stop node is
+taken first and the source is never a move, so the swap fixes every node
+the fold reads.  Twins are thus visited in label order, and the plain
+visited mask merges what a key counting twins alike would: ``palm_tree(n, d)``
+takes n - 1 states for a crown target instead of 2**(n - d - 1) + d - 1.
+:func:`search_value_range` splits the classes by hiding weight.  The tables
+record visited labels, so they merge no twins.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from typing import Callable, Hashable, Iterator, Sequence
 from .errors import TooLarge
 from .graphs import Graph, bfs_distances, check_node
 from .hider import BenefitFunction, HiderStrategy, tree_classes
-from .seeker import MixturePolicy, SearchState, SeekerPolicy, checked_distribution, twin_classes
+from .seeker import MixturePolicy, SearchState, SeekerPolicy, checked_distribution
 
 # twin merging makes larger palms cheap, but the limit stays: the Monte Carlo
 # rows' exact column and the lemma2 suite's cap read it
@@ -64,45 +64,63 @@ def componentwise(policy: SeekerPolicy, quantity: Callable):
     return {key: _dot([(w, part.get(key, 0)) for w, part in parts]) for key in keys}
 
 
-def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop=()):
+def twin_classes(g: Graph, weight: Sequence = ()) -> list[int]:
+    """Each node's class of false twins, named by its lowest member: the nodes
+    with the same neighbours and, given ``weight``, the same weight.
+
+    Swapping two twins is an automorphism of ``g``, which maps a weight onto
+    itself when the twins weigh the same."""
+    lowest: dict = {}
+    return [lowest.setdefault((g.adj[v], weight[v] if weight else None), v) for v in range(g.n)]
+
+
+def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop=(), twins=None):
     """Fold over the decision tree of ``policy`` on ``g``, children first.
 
     ``fold(state, edges)`` runs once per distinct state, with ``state`` at that
     point and ``edges`` its k moves, each taken with probability 1/k, as
     ``(move, child)``: ``child`` is what the fold gave for the state the move
     leads to, or ``None`` for a move onto a node in ``stop``, which is not
-    expanded.  With ``memoized``, states with equal ``policy.state_key`` are
-    expanded once and share that value.
-    A fold given stop nodes reads no node label except theirs and the
-    source's, so with ``memoized``, stop nodes and a ``label_free`` policy the
-    state key counts false twins alike (the module docstring says why).
+    expanded.  With ``memoized``, states with equal visited sets and equal
+    ``policy.state_key`` are expanded once and share that value.
+    ``twins``, classes as :func:`twin_classes` gives them, says that the fold
+    cannot tell apart two twins of one class outside ``stop``; with ``memoized`` and a
+    ``label_free`` policy, only the lowest move in each class is expanded
+    and the others share its value (the module docstring says why).
     A move off the frontier raises ``PolicyViolation``.  Returns the root's value.
 
     The walk keeps its own stack, one frame per visit, so its depth is not
     bounded by Python's recursion limit.
     """
-    twins = memoized and stop and policy.label_free
-    state = SearchState(g, classes=twin_classes(g, (g.source, *stop)) if twins else None)
+    if twins is None or not (memoized and policy.label_free):
+        twins = range(g.n)
+    state = SearchState(g)
+    mask = 1 << g.source  # the visited set
+    root = policy.state_key(state) if memoized else None
+    memoized = root is not None
     memo: dict = {}
-    # the states on the current visit sequence, root first, each as
-    # (memo key, its moves not yet taken, its edges so far)
-    frames = [_frame(policy, state, policy.state_key(state) if memoized else None)]
+    # the states on the current visit sequence, root first, each as (memo key,
+    # its moves not yet taken, its edges so far, the value per twin class)
+    frames = [_frame(policy, state, (mask, root) if memoized else None)]
     while True:
-        key, moves, edges = frames[-1]
+        key, moves, edges, shared = frames[-1]
         for w in moves:
             if w in stop:
                 edges.append((w, None))
                 continue
-            state.push(w)
-            child = policy.state_key(state) if memoized else None
-            if child is not None:
-                hit = memo.get(child)
-                if hit is not None:
-                    state.pop()
-                    edges.append((w, hit))
-                    continue
-            frames.append(_frame(policy, state, child))
-            break
+            value = shared.get(twins[w])
+            if value is None:
+                state.push(w)
+                mask ^= 1 << w
+                child = (mask, policy.state_key(state)) if memoized else None
+                value = memo.get(child)
+                if value is None:
+                    frames.append(_frame(policy, state, child))
+                    break
+                state.pop()
+                mask ^= 1 << w
+                shared[twins[w]] = value
+            edges.append((w, value))
         else:
             value = fold(state, edges)
             if key is not None:
@@ -110,14 +128,18 @@ def _expand(policy: SeekerPolicy, g: Graph, memoized: bool, fold: Callable, stop
             frames.pop()
             if not frames:
                 return value
-            frames[-1][2].append((state.pop(), value))
+            w = state.pop()
+            mask ^= 1 << w
+            _, _, edges, shared = frames[-1]
+            edges.append((w, value))
+            shared[twins[w]] = value
 
 
 def _frame(policy: SeekerPolicy, state: SearchState, key) -> tuple:
     """A stack frame of :func:`_expand` for the state just entered."""
     if len(state.visited) == state.g.n:
-        return key, iter(()), []
-    return key, iter(checked_distribution(policy, state)), []
+        return key, iter(()), [], {}
+    return key, iter(checked_distribution(policy, state)), [], {}
 
 
 def _moves(policy: SeekerPolicy, g: Graph, memoized: bool) -> tuple[int, Iterator[tuple[tuple, int, int]]]:
@@ -188,7 +210,8 @@ def exact_expected_pos(
         k = len(state.visited)
         return _mean([k if child is None else child for _, child in edges], len(edges))
 
-    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,)))
+    twins = twin_classes(g)
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (h,), twins))
 
 
 def exact_visit_prob(
@@ -214,7 +237,8 @@ def exact_visit_prob(
     def value(state, edges):
         return _mean([1 if w == v else child for w, child in edges if w != t], len(edges))
 
-    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t)))
+    twins = twin_classes(g)
+    return componentwise(policy, lambda p: _expand(p, g, memoized, value, (v, t), twins))
 
 
 def exact_position_table(
@@ -320,15 +344,16 @@ def hider_value(policy: SeekerPolicy, strategy: HiderStrategy, *, node_limit: in
 
 class _EverySearch(SeekerPolicy):
     """Every expanding search at once: the whole frontier is eligible, and a state
-    is keyed by its visited set, all that the positions still to come depend on."""
+    is keyed by its visited set alone, all that the positions still to come depend on."""
 
     kind = "every_search"
+    label_free = True
 
     def eligible(self, state: SearchState) -> Sequence[int]:
         return state.frontier
 
     def state_key(self, state: SearchState) -> Hashable:
-        return (state.key,)
+        return ()
 
 
 def search_value_range(strategy: HiderStrategy) -> tuple[Fraction, Fraction]:
@@ -356,7 +381,7 @@ def search_value_range(strategy: HiderStrategy) -> tuple[Fraction, Fraction]:
         return (min(k * weight[w] + child[0] for w, child in edges),
                 max(k * weight[w] + child[1] for w, child in edges))
 
-    least, greatest = _expand(_EverySearch(), g, True, value)
+    least, greatest = _expand(_EverySearch(), g, True, value, twins=twin_classes(g, weight))
     return Fraction(least, denom), Fraction(greatest, denom)
 
 

@@ -49,31 +49,20 @@ class SearchState:
     source path to each of its nodes, so the graph's own profile, restricted
     to the view, is the view's.
 
-    ``key`` is an integer that each visit of ``w`` raises by ``1 << shift[w]``,
-    one add per move.  With no ``classes`` the shift of ``w`` is ``w`` and
-    ``key`` is the visited mask; ``classes`` is ``(shift, canon)`` as from
-    :func:`twin_classes`, where ``key`` counts the visits per class of false
-    twins and ``canon`` maps each node to its class's representative.  The
-    sampler, which reads no key, passes all-zero shifts, so its ``key`` is
-    the visit count and no move copies an n-bit integer.
-
-    A replayed ``visited`` refuses a node outside the graph (``NodeOutOfRange``)
-    or off the frontier (``ValueError`` naming its step).
+    A replayed ``visited`` refuses a node that is not an ``int`` of the graph
+    (``NodeOutOfRange``) or is off the frontier (``ValueError`` naming its step).
     """
 
-    __slots__ = ("g", "visited", "visited_set", "frontier", "active_stack", "key", "canon",
-                 "_shift", "_open", "_seen", "_depth", "_rank", "_inner", "_view_edges")
+    __slots__ = ("g", "visited", "visited_set", "frontier", "active_stack",
+                 "_open", "_seen", "_depth", "_rank", "_inner", "_view_edges")
 
-    def __init__(self, g: Graph, visited: Iterable[int] | None = None,
-                 classes: tuple[Sequence[int], Sequence[int]] | None = None):
+    def __init__(self, g: Graph, visited: Iterable[int] | None = None):
         n = g.n
         self.g = g
         self.visited: list[int] = []
         self.visited_set: set[int] = set()
         self.frontier: set[int] = {g.source}
         self.active_stack: list[int] = []  # visited nodes with unvisited neighbours, in visit order
-        self.key = 0
-        self._shift, self.canon = (range(n), range(n)) if classes is None else classes
         self._open = [0] * n   # unvisited neighbours of each visited node
         self._seen = [0] * n   # visited neighbours of each unvisited node
         self._depth = [0] * n  # path length in the view while the view is a tree
@@ -82,6 +71,8 @@ class SearchState:
         self._view_edges = 0
         try:
             for step, v in enumerate((g.source,) if visited is None else visited):
+                if type(v) is not int:  # True == 1 would pass frontier.remove
+                    check_node(n, v)
                 self.push(v)
         except KeyError:  # push meets a node off the frontier first, at frontier.remove
             check_node(n, v)
@@ -94,7 +85,6 @@ class SearchState:
         self._rank[w] = len(self.visited)
         self.visited.append(w)
         visited_set.add(w)
-        self.key += 1 << self._shift[w]
         fresh = 0
         nbrs = self.g.adj[w]
         for x in nbrs:
@@ -119,7 +109,6 @@ class SearchState:
         w = self.visited.pop()
         visited_set, open_, seen = self.visited_set, self._open, self._seen
         visited_set.remove(w)
-        self.key -= 1 << self._shift[w]
         if open_[w]:
             self.active_stack.pop()  # the latest visit sits on top
         fresh = open_[w] = self._rank[w] = 0
@@ -158,28 +147,6 @@ class SearchState:
             return self.frontier & self.profile.bounded_sets(d).within
         depth = self._depth
         return {w for w in self.frontier if depth[w] <= d}
-
-
-def twin_classes(g: Graph, fixed: Iterable[int]) -> tuple[list[int], list[int]]:
-    """``(shift, canon)`` for a :class:`SearchState` key that counts false twins alike.
-
-    False twins are nodes with the same neighbours, so swapping two of them
-    is an automorphism of ``g``.  Each node in ``fixed`` is a class of its
-    own.  A class of k nodes gets a bit field wide enough to count to k,
-    starting at the ``shift`` of each member, and ``canon`` maps each member
-    to the class's lowest node.
-    """
-    fixed = set(fixed)
-    classes: dict = {}
-    for v in range(g.n):  # a fixed node's int never equals an adjacency tuple
-        classes.setdefault(v if v in fixed else g.adj[v], []).append(v)
-    shift, canon = [0] * g.n, [0] * g.n
-    width = 0
-    for members in classes.values():
-        for v in members:
-            shift[v], canon[v] = width, members[0]
-        width += len(members).bit_length()
-    return shift, canon
 
 
 # The running float sums of k weights 1/k, keyed by k: the draw of a uniform
@@ -239,7 +206,9 @@ class SeekerPolicy:
         raise NotImplementedError
 
     def state_key(self, state: SearchState) -> Hashable | None:
-        """Collapse of the visit sequence to what this policy actually reads.
+        """What this policy reads of the visit sequence beyond the visited set:
+        two states with the same visited set and equal keys lead to the same
+        decisions from there on.
 
         ``None`` disables memoized enumeration for the policy.
         """
@@ -253,8 +222,7 @@ class _RecencyPolicy(SeekerPolicy):
     label_free = True
 
     def state_key(self, state: SearchState) -> Hashable:
-        canon = state.canon
-        return (state.key, tuple([canon[x] for x in state.active_stack]))
+        return tuple(state.active_stack)
 
 
 class DFSPolicy(_RecencyPolicy):
@@ -476,7 +444,7 @@ def _walk(
     # state follows each move; the trie grows by the node where the walk left
     # it, so the prefixes that recur most are stored first, and a forced node
     # is stored with the forced moves after it as one run
-    state = SearchState(g, visited, ([0] * n, range(n)))  # zero shifts: key only counts visits
+    state = SearchState(g, visited)
     visited = state.visited
     grow = trie[0] < TRIE_ENTRIES
     start = end = len(visited)  # the forced moves to store as one run are visited[start:end]

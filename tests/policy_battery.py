@@ -22,7 +22,7 @@ class LabelOrderPolicy(SeekerPolicy):
 
     def state_key(self, state: SearchState):
         # reads only the visited set, not the order
-        return (state.key,)
+        return ()
 
 
 class BreadthPreferringPolicy(_RecencyPolicy):

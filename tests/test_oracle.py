@@ -29,6 +29,7 @@ from hideseek.oracle import (
     hider_value,
     reachable_observations,
     search_value_range,
+    twin_classes,
 )
 from hideseek.seeker import (
     AdjustedDFSPolicy,
@@ -37,8 +38,8 @@ from hideseek.seeker import (
     DFSPolicy,
     MixturePolicy,
     execute,
+    policy_from_id,
     sigma_star,
-    twin_classes,
 )
 
 from graph_strategies import at_most_one_cycle, with_false_twins
@@ -164,10 +165,10 @@ class TestTwinMerging:
 
     def test_classes_of_a_palm_crown(self):
         g = palm_tree(7, 2)  # source 0, trunk 1, crown leaves 2..6
-        shift, canon = twin_classes(g, (0, 6))
-        assert canon == [0, 1, 2, 2, 2, 2, 6]
-        # the four free leaves share one 3-bit field, which counts to 4
-        assert shift == [0, 1, 2, 2, 2, 2, 5]
+        # the source has the leaves' one neighbour, so it names their class
+        assert twin_classes(g) == [0, 1, 0, 0, 0, 0, 0]
+        # split by weight: the source, the leaves weighing 1 and those weighing 2
+        assert twin_classes(g, [0, 0, 1, 2, 1, 2, 2]) == [0, 1, 2, 3, 2, 3, 3]
 
     @pytest.mark.parametrize("n", [16, 40, 200])
     def test_palm_crown_target_expands_at_most_n_states(self, monkeypatch, n):
@@ -187,6 +188,17 @@ class TestTwinMerging:
         # source, trunk, then one state per nonempty set of the free leaves 2..5,
         # against one per count of them
         assert counts == [2 + 15, 2 + 4]
+
+    def test_corpus_walks_fold_the_recorded_states(self, monkeypatch):
+        """The states folded by every memoized dfs, adfs and dfs_d walk to each
+        corpus target, summed: the reach of the twin merge, pinned."""
+        counts = count_states(monkeypatch)
+        for inst in default_corpus():
+            for kind in ("dfs", "adfs", "dfs_d"):
+                policy = policy_from_id(kind, d=inst.d)
+                for h in range(inst.graph.n):
+                    exact_expected_pos(policy, inst.graph, h, memoized=True)
+        assert sum(counts) == 8581
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,14 +369,26 @@ class TestSearchValueRange:
         with pytest.raises(TooLarge, match=f"n = {n} exceeds"):
             search_value_range(palm_crown_mixed(n, 2))
 
+    def test_twins_fold_one_state_per_count(self, monkeypatch):
+        """Leaves of equal weight merge as twins: the star's 11 crown leaves take
+        one state per count seen, where the visited sets number 2**11; leaves
+        weighing 1/9 and 2/9, three each, take one state per pair of counts."""
+        counts = count_states(monkeypatch)
+        assert search_value_range(palm_crown_mixed(12, 1)) == (6, 6)
+        star = palm_tree(7, 1)
+        strategy = HiderStrategy(tuple((star, h, Fraction(1 + (h > 3), 9)) for h in range(1, 7)))
+        assert search_value_range(strategy) == brute_value_range(strategy)
+        assert counts == [12, 4 * 4]
+
 
 @settings(max_examples=60, deadline=None)
-@given(at_most_one_cycle(max_n=7), st.data())
+@given(st.one_of(at_most_one_cycle(max_n=7), with_false_twins(max_n=4)), st.data())
 def test_search_value_range_matches_brute_orders(g, data):
-    """The memoized fold over visited sets gives the brute least and greatest
-    over every order, for random positive rational hiding weights."""
+    """The memoized fold over visited sets, which merges twins of equal weight,
+    gives the brute least and greatest over every order; the weights come from
+    a small set, so twins of equal and of unequal weight both occur."""
     nodes = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True), label="nodes")
-    raw = data.draw(st.lists(st.fractions(min_value=Fraction(1, 60), max_value=10, max_denominator=60),
+    raw = data.draw(st.lists(st.sampled_from([Fraction(1, 3), Fraction(1), Fraction(2)]),
                              min_size=len(nodes), max_size=len(nodes)), label="weights")
     total = sum(raw)
     strategy = HiderStrategy(tuple((g, h, w / total) for h, w in zip(nodes, raw)))

@@ -151,9 +151,11 @@ class _NoEligible(SeekerPolicy):
     (lambda: SearchState(palm_tree(5, 2), [1]), (ValueError, "step 0: node 1 is not on the frontier")),
     (lambda: SearchState(palm_tree(5, 2), [0, 9]), (NodeOutOfRange, "node 9 outside 0..4")),
     (lambda: SearchState(palm_tree(5, 2), [0, 1, 1]), (ValueError, "step 2: node 1 is not on the frontier")),
+    # True == 1 is on the frontier, so the replay used to visit it
+    (lambda: SearchState(palm_tree(5, 2), [0, True]), (NodeOutOfRange, "node True outside 0..4")),
 ], ids=["upfront-mixture-key", "keyless-component-key", "no-eligible-node", "float-bound",
         "float-bound-closed-form", "bool-bound", "replay-off-frontier-first", "replay-out-of-range",
-        "replay-repeat"])
+        "replay-repeat", "replay-bool"])
 def test_seeker_refusal(call, want):
     assert _outcome(call) == want
 

@@ -22,7 +22,6 @@ from hideseek.seeker import (
     policy_from_id,
     sample_position,
     sigma_star,
-    twin_classes,
 )
 
 from graph_strategies import at_most_one_cycle, long_chains
@@ -84,14 +83,6 @@ class BruteObservation:
 
     def frontier_within(self, d):
         return self.frontier & self.profile.bounded_sets(d).within
-
-    @cached_property
-    def key(self) -> int:
-        return sum(1 << v for v in self.visited)
-
-    @cached_property
-    def canon(self) -> range:
-        return range(self.g.n)
 
 
 def brute(g, visited):
@@ -346,22 +337,14 @@ def _slots(state):
 @given(at_most_one_cycle(max_n=9), st.integers(0, 10_000), st.sampled_from(["dfs", "adfs", "dfs_d"]))
 def test_search_state_matches_brute_observation(g, seed, driver):
     """Along a sampled episode the incremental state reads like the rebuilt view,
-    every policy decides alike on both, and push then pop restores every slot;
-    a state keyed by twin classes keeps the sum of its visits' class weights."""
+    every policy decides alike on both, and push then pop restores every slot."""
     episode = execute(policy_from_id(driver, d=2), g, random.Random(seed))
     state = SearchState(g)
-    shift, canon = classes = twin_classes(g, (g.source,))
-    twins = SearchState(g, classes=classes)
     for k in range(1, g.n):
         if k > 1:
             state.push(episode[k - 1])
-            twins.push(episode[k - 1])
         ref = brute(g, episode[:k])
         assert state.visited == list(ref.visited)
-        assert state.key == ref.key
-        assert state.canon == ref.canon
-        assert twins.key == sum(1 << shift[v] for v in ref.visited)
-        assert DFSPolicy().state_key(twins) == (twins.key, tuple(canon[x] for x in ref.active_stack))
         assert state.frontier == ref.frontier
         assert state.active_stack == ref.active_stack
         assert state.cycle_among_visited == ref.cycle_among_visited
@@ -383,14 +366,8 @@ def test_search_state_matches_brute_observation(g, seed, driver):
         assert before == _slots(SearchState(g, state.visited))  # as if replayed
         for w in sorted(state.frontier):
             state.push(w)
-            assert state.key == before["key"] + (1 << w)
             assert state.pop() == w
-            assert state.key == before["key"]
             assert _slots(state) == before
-            key = twins.key
-            twins.push(w)
-            assert twins.pop() == w
-            assert twins.key == key
 
 
 @settings(max_examples=60, deadline=None)
@@ -480,12 +457,3 @@ class TestForcedRuns:
         assert (run, sums) == ((1, 2), None)
         assert children[2][:2] == ((3,), None)
         assert children[2][2][3][0] == (4, 5, 6, 7)  # the crown branches
-
-    def test_zero_shifts_count_visits(self):
-        g, _ = example1_graph(40, 3)
-        state = SearchState(g, None, ([0] * g.n, range(g.n)))
-        for w in execute(DFSPolicy(), g, random.Random(3))[1:]:
-            state.push(w)
-            assert state.key == len(state.visited)
-        state.pop()
-        assert state.key == g.n - 1
