@@ -11,11 +11,14 @@ all read off the source's :class:`~hideseek.graphs.PathProfile`:
 * whether a node sits on the cycle, strictly behind it, or before it;
 * for nodes behind the cycle, where their paths leave it (the ``anchor``).
 
-Every branch carries a ``case_label`` so coverage of the whole table can be
-audited, and every returned probability is checked against the enumeration
-oracle in the verification suites.  Branches are evaluated strictly in
-listing order; combinations the tables do not cover raise
-:class:`PreconditionViolated` rather than extrapolating.
+Each strategy's table is one ordered tuple of rows in :data:`RULES`: a
+pattern over the pair's feature tuple (``_`` matches any value), a
+``case_label`` and its probability.  The first row that matches answers.  A
+row whose probability is ``None`` refuses with clause ``no-table-row``, so
+combinations the tables do not cover raise :class:`PreconditionViolated`
+rather than extrapolating.  :data:`ROWS` maps each label to its probability,
+so coverage of the whole table can be audited, and every returned probability
+is checked against the enumeration oracle in the verification suites.
 
 ``sigma_star`` has no table of its own.  It plays one component for the
 whole episode, so its probability for a pair is the mixture of the three
@@ -41,49 +44,81 @@ from .seeker import SIGMA_STAR_WEIGHTS, check_bound
 
 STRATEGIES = ("dfs", "dfs_d", "adfs", "sigma_star")
 
-# Every row of the pairwise tables: its case label and its probability.  The
-# value functions below pick a label; this map is the only place a row's
-# probability lives.
-ROWS: dict[str, Fraction] = {
-    "dfs:free-target": Fraction(1, 2),
-    "dfs:gate-target:v-single": Fraction(1, 2),
-    "dfs:gate-target:v-double": Fraction(2, 3),
-    "dfs:cycle-pair": Fraction(1, 2),
-    "dfs:behind-target:v-cycle": Fraction(3, 4),
-    "dfs:behind-target:v-behind": Fraction(1, 2),
+_ = None  # a pattern field that matches any value
 
-    "adfs:free-target": Fraction(1, 2),
-    "adfs:gate-target:v-single": Fraction(1, 2),
-    "adfs:gate-target:v-cycle": Fraction(2, 3),
-    "adfs:gate-target:v-behind": Fraction(1, 3),
-    "adfs:cycle-pair": Fraction(1, 2),
-    "adfs:behind-target:v-cycle": Fraction(3, 4),
-    "adfs:behind-target:v-behind": Fraction(1, 2),
+# The rows dfs and adfs share, keyed by (class of t, class of v, degenerate
+# exit); a probability of None refuses with the row's text as detail.
+_UNBOUNDED_ROWS = [
+    (("free", _, _), "free-target", Fraction(1, 2)),
+    (("gate", "single", _), "gate-target:v-single", Fraction(1, 2)),
+    (("cycle", "cycle", _), "cycle-pair", Fraction(1, 2)),
+    (("cycle", _, _), "target on the cycle, v off it", None),
+    (("behind", "cycle", _), "behind-target:v-cycle", Fraction(3, 4)),
+    (("behind", "behind", _), "behind-target:v-behind", Fraction(1, 2)),
+    (("behind", _, _), "target behind the cycle, single-path v", None),
+]
 
-    "dfs_d:far-v": Fraction(0),
-    "dfs_d:free-target": Fraction(1, 2),
-    "dfs_d:gate-target:v-two-short": Fraction(2, 3),
-    "dfs_d:gate-target:v-single-short": Fraction(1, 2),
-    "dfs_d:gate-target:v-one-short-cycle-reachable": Fraction(2, 3),
-    "dfs_d:gate-target:v-one-short-cycle-partial": Fraction(1, 2),
-    "dfs_d:cycle-pair": Fraction(1, 2),
-    "dfs_d:behind-target:v-on-short-path": Fraction(1),
-    "dfs_d:behind-target:v-two-short": Fraction(3, 4),
-    "dfs_d:behind-target:v-one-short": Fraction(1, 2),
-    "dfs_d:both-behind:reachable:exit-on-path": Fraction(5, 8),
-    "dfs_d:both-behind:reachable:exit-off-path": Fraction(1, 2),
-    "dfs_d:both-behind:reachable:both-short": Fraction(1, 2),
-    "dfs_d:both-behind:reachable:both-one-short": Fraction(1, 2),
-    "dfs_d:both-behind:partial:target-one-v-two": Fraction(3, 4),
-    "dfs_d:both-behind:partial:both-short": Fraction(1, 2),
-    "dfs_d:both-behind:partial:both-one-short": Fraction(1, 2),
 
+def _named(strategy: str, rows: list) -> tuple[tuple[tuple, str, Fraction | None], ...]:
+    """``rows`` with the strategy prefixed to each case label and refusal detail."""
+    return tuple((pattern, f"{strategy}:{text}" if p is not None else f"{strategy}: {text}", p)
+                 for pattern, text, p in rows)
+
+
+# The pairwise tables: each strategy's rows, (feature pattern, case label or
+# refusal detail, probability), tried in order; the first match answers.
+RULES = {
+    "dfs": _named("dfs", _UNBOUNDED_ROWS + [
+        (("gate", _, _), "gate-target:v-double", Fraction(2, 3)),
+    ]),
+    "adfs": _named("adfs", _UNBOUNDED_ROWS + [
+        (("gate", "cycle", _), "gate-target:v-cycle", Fraction(2, 3)),
+        # The behind-the-cycle derivations picture the exit strictly between
+        # the two entrance successors; a pendant hanging on a successor
+        # collapses the independent coins they rely on.
+        (("gate", _, True), "v hangs off an entrance successor (degenerate exit)", None),
+        (("gate", _, _), "gate-target:v-behind", Fraction(1, 3)),
+    ]),
+    # (class of t, or far when v lies beyond d; class of v; t two-short;
+    # v two-short; cycle fully short; v's exit and t on one tree path)
+    "dfs_d": _named("dfs_d", [
+        # everything within reach is visited before anything beyond it,
+        # regardless of how much of the cycle the bound covers
+        (("far", _, _, _, _, _), "far-v", Fraction(0)),
+        (("free", _, _, _, _, _), "free-target", Fraction(1, 2)),
+        (("gate", _, _, True, _, _), "gate-target:v-two-short", Fraction(2, 3)),
+        (("gate", "single", _, _, _, _), "gate-target:v-single-short", Fraction(1, 2)),
+        (("gate", _, _, _, True, _), "gate-target:v-one-short-cycle-reachable", Fraction(2, 3)),
+        (("gate", _, _, _, _, _), "gate-target:v-one-short-cycle-partial", Fraction(1, 2)),
+        # Both nodes one-short with one on the other's short path share the
+        # entrance successor, so the visit order is forced rather than an
+        # even coin; the tables do not cover them.
+        (("cycle", "cycle", False, False, _, True), "aligned one-short cycle pair (forced order)", None),
+        (("cycle", "cycle", _, _, _, _), "cycle-pair", Fraction(1, 2)),
+        (("cycle", _, _, _, _, _), "target on the cycle, v off it", None),
+        (("behind", "cycle", False, _, _, True), "behind-target:v-on-short-path", Fraction(1)),
+        (("behind", "cycle", _, True, _, _), "behind-target:v-two-short", Fraction(3, 4)),
+        (("behind", "cycle", _, _, _, _), "behind-target:v-one-short", Fraction(1, 2)),
+        (("behind", "single", _, _, _, _), "target behind the cycle, single-path v", None),
+        (("behind", "behind", True, False, _, _), "two-short target against one-short v is underived", None),
+        # t's path within d is its only one: does v's exit lie on it?
+        (("behind", "behind", False, True, True, True), "both-behind:reachable:exit-on-path", Fraction(5, 8)),
+        (("behind", "behind", False, True, True, _), "both-behind:reachable:exit-off-path", Fraction(1, 2)),
+        (("behind", "behind", True, True, True, _), "both-behind:reachable:both-short", Fraction(1, 2)),
+        (("behind", "behind", False, False, True, _), "both-behind:reachable:both-one-short", Fraction(1, 2)),
+        (("behind", "behind", False, True, False, _), "both-behind:partial:target-one-v-two", Fraction(3, 4)),
+        (("behind", "behind", True, True, False, _), "both-behind:partial:both-short", Fraction(1, 2)),
+        (("behind", "behind", False, False, False, _), "both-behind:partial:both-one-short", Fraction(1, 2)),
+    ]),
 }
 
-# Every case label each strategy's table can emit (used for coverage audits).
+# Each admitted row's case label and probability, and every case label each
+# strategy's table can emit (used for coverage audits).
+ROWS: dict[str, Fraction] = {
+    label: p for rules in RULES.values() for _pattern, label, p in rules if p is not None}
 ALL_CASE_LABELS: dict[str, frozenset[str]] = {
-    strategy: frozenset(label for label in ROWS if label.startswith(strategy + ":"))
-    for strategy in dict.fromkeys(label.split(":", 1)[0] for label in ROWS)
+    strategy: frozenset(label for _pattern, label, p in rules if p is not None)
+    for strategy, rules in RULES.items()
 }
 
 
@@ -152,111 +187,51 @@ def _target_class(g: Graph, prof: PathProfile, t: int, v: int) -> str:
     return "cycle" if t in prof.cycle_nodes else "behind"
 
 
-def _no_row(strategy: str, detail: str):
-    raise PreconditionViolated("no-table-row", f"{strategy}: {detail}")
-
-
-def _unbounded_row(table: str, prof: PathProfile, t_class: str, v: int) -> str:
-    """The free, cycle and behind rows, which ``dfs`` and ``adfs`` share."""
-    if t_class == "free":
-        return f"{table}:free-target"
-    if t_class == "cycle":
-        if v in prof.cycle_nodes:
-            return f"{table}:cycle-pair"
-        _no_row(table, "target on the cycle, v off it")
-    if v in prof.cycle_nodes:
-        return f"{table}:behind-target:v-cycle"
-    if v in prof.double_path:
-        return f"{table}:behind-target:v-behind"
-    _no_row(table, "target behind the cycle, single-path v")
-
-
-# Each table's value function maps (graph, profile, class of t, t, v, d) to a key of ROWS.
-
-def _dfs_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: int | None) -> str:
-    if t_class != "gate":
-        return _unbounded_row("dfs", prof, t_class, v)
-    return "dfs:gate-target:v-single" if v in prof.single_path else "dfs:gate-target:v-double"
-
-
-def _adfs_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: int | None) -> str:
-    if t_class != "gate":
-        return _unbounded_row("adfs", prof, t_class, v)
+def _v_class(prof: PathProfile, v: int) -> str:
+    """single (one simple path), cycle (on the cycle, two paths) or behind (two paths, off it)."""
     if v in prof.single_path:
-        return "adfs:gate-target:v-single"
-    if v in prof.cycle_nodes:
-        return "adfs:gate-target:v-cycle"
-    # The behind-the-cycle derivations picture the exit strictly between the
-    # two entrance successors; a pendant hanging on a successor collapses the
-    # independent coins they rely on.
-    if prof.anchor[v] in g.adj[prof.entrance]:
-        _no_row("adfs", "v hangs off an entrance successor (degenerate exit)")
-    return "adfs:gate-target:v-behind"
+        return "single"
+    return "cycle" if v in prof.cycle_nodes else "behind"
 
 
-def _dfs_d_value(g: Graph, prof: PathProfile, t_class: str, t: int, v: int, d: int) -> str:
+def _unbounded_features(g: Graph, prof: PathProfile, t_class: str, v: int) -> tuple:
+    """The pair's features for ``dfs`` and ``adfs``: (class of t, class of v, degenerate exit)."""
+    v_class = _v_class(prof, v)
+    return t_class, v_class, v_class == "behind" and prof.anchor[v] in g.adj[prof.entrance]
+
+
+def _bounded_features(prof: PathProfile, t_class: str, t: int, v: int, d: int) -> tuple:
+    """The pair's features for ``dfs_d``, once its guards on the bound pass; see its rows."""
     if prof.distance(t) > d:
         raise PreconditionViolated("target-beyond-bound", f"dist(s,{t}) > {d}")
-    if prof.distance(v) > d:
-        # everything within reach is visited before anything beyond it,
-        # regardless of how much of the cycle the bound covers
-        return "dfs_d:far-v"
     sets = prof.bounded_sets(d)
+    far = prof.distance(v) > d
     # the bounded-DFS rows are only derived when some cycle node is reachable
     # by two short paths; outside that domain the table refuses
-    if prof.cycle_nodes and not prof.cycle_nodes & sets.two_short:
+    if not far and prof.cycle_nodes and not prof.cycle_nodes & sets.two_short:
         raise PreconditionViolated("cycle-outside-bound", "dfs_d: no cycle node has two paths within d")
-    if t_class == "free":
-        return "dfs_d:free-target"
-    # the entrance (or the source itself, when it sits on the cycle) has a
-    # single path by definition and does not count against full coverage
-    cycle_fully_short = prof.cycle_nodes & prof.double_path <= sets.two_short
-    if t_class == "gate":
-        if v in sets.two_short:
-            return "dfs_d:gate-target:v-two-short"
-        if v in prof.single_path:
-            return "dfs_d:gate-target:v-single-short"
-        if cycle_fully_short:
-            return "dfs_d:gate-target:v-one-short-cycle-reachable"
-        return "dfs_d:gate-target:v-one-short-cycle-partial"
-    if t_class == "cycle":
-        if v in prof.cycle_nodes:
-            # Both nodes one-short with one on the other's short path share the
-            # entrance successor, so the visit order is forced rather than an
-            # even coin; the tables do not cover them.
-            if {t, v} <= sets.one_short and (prof.on_path(v, t) or prof.on_path(t, v)):
-                _no_row("dfs_d", "aligned one-short cycle pair (forced order)")
-            return "dfs_d:cycle-pair"
-        _no_row("dfs_d", "target on the cycle, v off it")
-    # target strictly behind the cycle (and within d, so one- or two-short)
-    if v in prof.cycle_nodes:
-        if t in sets.one_short and prof.on_path(v, t):
-            return "dfs_d:behind-target:v-on-short-path"
-        if v in sets.two_short:
-            return "dfs_d:behind-target:v-two-short"
-        return "dfs_d:behind-target:v-one-short"
-    if v not in prof.double_path:
-        _no_row("dfs_d", "target behind the cycle, single-path v")
-    t_short, v_short = t in sets.two_short, v in sets.two_short
-    if t_short and not v_short:
-        _no_row("dfs_d", "two-short target against one-short v is underived")
-    if cycle_fully_short:
-        if not t_short and v_short:
-            # t's path within d is its only one: does v's exit lie on it?
-            if prof.on_path(prof.anchor[v], t):
-                return "dfs_d:both-behind:reachable:exit-on-path"
-            return "dfs_d:both-behind:reachable:exit-off-path"
-        if t_short and v_short:
-            return "dfs_d:both-behind:reachable:both-short"
-        return "dfs_d:both-behind:reachable:both-one-short"
-    if not t_short and v_short:
-        return "dfs_d:both-behind:partial:target-one-v-two"
-    if t_short and v_short:
-        return "dfs_d:both-behind:partial:both-short"
-    return "dfs_d:both-behind:partial:both-one-short"
+    # Every cycle node but the entrance has two paths, and the longest of them
+    # goes all the way round to an entrance neighbour: the cycle is fully short
+    # when that walk fits d.
+    cycle_fully_short = prof.cycle is None or prof.distance(prof.entrance) + len(prof.cycle) - 1 <= d
+    exit_ = prof.anchor.get(v, v)  # where v's paths leave the cycle
+    return ("far" if far else t_class, _v_class(prof, v), t in sets.two_short, v in sets.two_short,
+            cycle_fully_short, prof.on_path(exit_, t) or prof.on_path(t, exit_))
 
 
-_VALUE_FUNCS = {"dfs": _dfs_value, "adfs": _adfs_value, "dfs_d": _dfs_d_value}
+@cache
+def _first_row(strategy: str, features: tuple) -> tuple[str, Fraction | None]:
+    # the feature domain is finite, so this cache stays small
+    return next((label, p) for pattern, label, p in RULES[strategy]
+                if all(want is None or want == got for want, got in zip(pattern, features)))
+
+
+def _row_label(strategy: str, features: tuple) -> str:
+    """The case label of the strategy's first row that matches ``features``."""
+    text, p = _first_row(strategy, features)
+    if p is None:
+        raise PreconditionViolated("no-table-row", text)
+    return text
 
 
 @cache
@@ -295,11 +270,12 @@ def pairwise_probability(
     t_class = _target_class(g, prof, t, v)
     if strategy == "sigma_star":
         # dfs_d first: a target or cycle beyond d refuses as dfs_d does
-        bounded = _dfs_d_value(g, prof, t_class, t, v, d)
-        return _mixture_row(tuple(
-            bounded if table == "dfs_d" else _VALUE_FUNCS[table](g, prof, t_class, t, v, d)
-            for table in SIGMA_STAR_WEIGHTS))
-    label = _VALUE_FUNCS[strategy](g, prof, t_class, t, v, d)
+        bounded = _row_label("dfs_d", _bounded_features(prof, t_class, t, v, d))
+        unbounded = _unbounded_features(g, prof, t_class, v)
+        return _mixture_row(tuple(bounded if table == "dfs_d" else _row_label(table, unbounded)
+                                  for table in SIGMA_STAR_WEIGHTS))
+    label = _row_label(strategy, _bounded_features(prof, t_class, t, v, d) if strategy == "dfs_d"
+                       else _unbounded_features(g, prof, t_class, v))
     return PairwiseCaseResult(ROWS[label], label)
 
 

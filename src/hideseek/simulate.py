@@ -32,6 +32,8 @@ def _worker_count(workers: int | None) -> int:
             workers = int(raw)
         except ValueError:
             raise BadWorkerCount(f"{WORKERS_ENV}={raw!r} is not an integer") from None
+    if type(workers) is not int:
+        raise BadWorkerCount(f"worker count {workers!r} is not an integer")
     if workers < 1:
         raise BadWorkerCount(f"worker count {workers} is below 1")
     return min(workers, os.cpu_count() or 1)
@@ -79,6 +81,8 @@ def monte_carlo(
     workers: int | None = None,
 ) -> MonteCarloResult:
     """Sample mean position with a normal-approximation 95% interval."""
+    if type(trials) is not int:
+        raise ValueError(f"trial count {trials!r} is not an integer")
     if trials < 1:
         raise ValueError("need at least one trial")
     workers = _worker_count(workers)

@@ -31,7 +31,7 @@ def test_criterion_1_tree_closed_form_exact():
 
 
 def test_criterion_2_palm_strategy_invariance():
-    # palms n<=10, every height, >=6 policies, zero tolerance
+    # palms n<=10, every height, every expanding search (least and greatest value), zero tolerance
     _finish(2, "palm strategy invariance (n<=10)", run_lemma2(max_n=10))
 
 

@@ -1,4 +1,7 @@
+import hashlib
+import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hideseek.analysis import (
     ALL_CASE_LABELS,
     ROWS,
+    RULES,
     STRATEGIES,
     admitted_pairs,
     expected_position_from_tables,
@@ -301,6 +305,76 @@ class TestTablesAgainstOracle:
         assert res.probability == exact_visit_prob(policy, self.DEFECT, 5, 2, memoized=memoized)
 
 
+class TestRules:
+    """The rows themselves: each strategy's lookup is total over its finite feature
+    domain, no row is shadowed by the rows before it, and the rows are the recorded ones."""
+
+    T_CLASSES, V_CLASSES, BOOLS = ("free", "gate", "cycle", "behind"), ("single", "cycle", "behind"), (False, True)
+    DOMAINS = {
+        "dfs": list(product(T_CLASSES, V_CLASSES, BOOLS)),
+        "adfs": list(product(T_CLASSES, V_CLASSES, BOOLS)),
+        "dfs_d": list(product(T_CLASSES + ("far",), V_CLASSES, BOOLS, BOOLS, BOOLS, BOOLS)),
+    }
+
+    @staticmethod
+    def first_match(strategy, features):
+        """The index of the first of the strategy's rows whose pattern matches, or None."""
+        return next((i for i, (pattern, _, _) in enumerate(RULES[strategy])
+                     if len(pattern) == len(features)
+                     and all(want is None or want == got for want, got in zip(pattern, features))), None)
+
+    def test_domains_cover_the_tables(self):
+        assert self.DOMAINS.keys() == RULES.keys()
+        assert [len(domain) for domain in self.DOMAINS.values()] == [24, 24, 240]
+
+    @pytest.mark.parametrize("strategy", ["dfs", "adfs", "dfs_d"])
+    def test_every_feature_tuple_matches_a_row(self, strategy):
+        assert [f for f in self.DOMAINS[strategy] if self.first_match(strategy, f) is None] == []
+
+    @pytest.mark.parametrize("strategy", ["dfs", "adfs", "dfs_d"])
+    def test_no_row_is_shadowed(self, strategy):
+        firsts = {self.first_match(strategy, f) for f in self.DOMAINS[strategy]}
+        assert [row for i, row in enumerate(RULES[strategy]) if i not in firsts] == []
+
+    def test_rows_are_the_recorded_ones(self):
+        assert ROWS == {
+            "dfs:free-target": Fraction(1, 2),
+            "dfs:gate-target:v-single": Fraction(1, 2),
+            "dfs:gate-target:v-double": Fraction(2, 3),
+            "dfs:cycle-pair": Fraction(1, 2),
+            "dfs:behind-target:v-cycle": Fraction(3, 4),
+            "dfs:behind-target:v-behind": Fraction(1, 2),
+            "adfs:free-target": Fraction(1, 2),
+            "adfs:gate-target:v-single": Fraction(1, 2),
+            "adfs:gate-target:v-cycle": Fraction(2, 3),
+            "adfs:gate-target:v-behind": Fraction(1, 3),
+            "adfs:cycle-pair": Fraction(1, 2),
+            "adfs:behind-target:v-cycle": Fraction(3, 4),
+            "adfs:behind-target:v-behind": Fraction(1, 2),
+            "dfs_d:far-v": Fraction(0),
+            "dfs_d:free-target": Fraction(1, 2),
+            "dfs_d:gate-target:v-two-short": Fraction(2, 3),
+            "dfs_d:gate-target:v-single-short": Fraction(1, 2),
+            "dfs_d:gate-target:v-one-short-cycle-reachable": Fraction(2, 3),
+            "dfs_d:gate-target:v-one-short-cycle-partial": Fraction(1, 2),
+            "dfs_d:cycle-pair": Fraction(1, 2),
+            "dfs_d:behind-target:v-on-short-path": Fraction(1),
+            "dfs_d:behind-target:v-two-short": Fraction(3, 4),
+            "dfs_d:behind-target:v-one-short": Fraction(1, 2),
+            "dfs_d:both-behind:reachable:exit-on-path": Fraction(5, 8),
+            "dfs_d:both-behind:reachable:exit-off-path": Fraction(1, 2),
+            "dfs_d:both-behind:reachable:both-short": Fraction(1, 2),
+            "dfs_d:both-behind:reachable:both-one-short": Fraction(1, 2),
+            "dfs_d:both-behind:partial:target-one-v-two": Fraction(3, 4),
+            "dfs_d:both-behind:partial:both-short": Fraction(1, 2),
+            "dfs_d:both-behind:partial:both-one-short": Fraction(1, 2),
+        }
+        assert {s: len(labels) for s, labels in ALL_CASE_LABELS.items()} == {"dfs": 6, "adfs": 7, "dfs_d": 17}
+
+    def test_known_wrong_rows_are_rows(self):
+        assert TestTablesAgainstOracle.KNOWN_WRONG <= ROWS.keys()
+
+
 class TestSigmaMixture:
     """sigma_star answers are the weighted sum of its components' rows."""
 
@@ -431,3 +505,37 @@ def corpus_tables_text() -> str:
 def test_corpus_tables_are_golden():
     """Each admitted row's label and probability, and each target's value, stay as recorded."""
     assert corpus_tables_text() == (Path(__file__).parent / "golden" / "corpus_tables.txt").read_text()
+
+
+def pairwise_dump(seed: int = 7, count: int = 300) -> str:
+    """Every ``pairwise_probability`` answer, ``label,p/q`` or ``!clause: detail``, for each
+    strategy and ordered (t, v), t = v included, over the corpus and ``count`` seeded random
+    recursive trees with n = 2..10, each given one chord with probability 0.8, source 0 and
+    d uniform in 1..n-1."""
+    graphs = [(inst.graph, inst.d) for inst in default_corpus()]
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 10)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        chords = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+        if rng.random() < 0.8 and chords:
+            edges.add(rng.choice(chords))
+        graphs.append((from_edges(n, edges), rng.randint(1, n - 1)))
+    lines = []
+    for g, d in graphs:
+        for strategy in STRATEGIES:
+            for t in range(g.n):
+                for v in range(g.n):
+                    try:
+                        res = pairwise_probability(strategy, g, 0, t, v, d)
+                        lines.append(f"{res.case_label},{res.probability}")
+                    except PreconditionViolated as exc:
+                        lines.append(f"!{exc}")
+    return "\n".join(lines)
+
+
+def test_pairwise_dump_is_golden():
+    """Every answer, refusals included, stays as recorded; a row edit changes this digest."""
+    dump = pairwise_dump()
+    assert (dump.count("\n") + 1, hashlib.sha256(dump.encode()).hexdigest()) == (
+        61388, "74942f62cc937a2c5f446cf7a1fd55a63f775c91732946a05190277552d40ad1")

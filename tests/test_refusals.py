@@ -8,8 +8,8 @@ import pytest
 
 from hideseek.analysis import (expected_position_from_tables, hider_payoff, mixture_capture_bound,
                                pairwise_probability, palm_expected_position)
-from hideseek.errors import (BadShape, DisconnectedGraph, EmptyFrontier, MultipleCycles, NodeOutOfRange,
-                             SelfLoop)
+from hideseek.errors import (BadShape, BadWorkerCount, DisconnectedGraph, EmptyFrontier, MultipleCycles,
+                             NodeOutOfRange, SelfLoop)
 from hideseek.graphs import Graph, Subgraph, check_node, from_edges, path_profiles, simple_path_counts
 from hideseek.hider import (BenefitFunction, HiderStrategy, example1_graph, example2_graph,
                             optimal_hiding_depths, palm_tree)
@@ -160,8 +160,8 @@ def test_seeker_refusal(call, want):
     assert _outcome(call) == want
 
 
-def _mc(trials):
-    res = monte_carlo(DFSPolicy(), HiderStrategy.pure(*example1_graph(7, 2)), trials, seed=0)
+def _mc(trials, workers=None):
+    res = monte_carlo(DFSPolicy(), HiderStrategy.pure(*example1_graph(7, 2)), trials, seed=0, workers=workers)
     return res.stderr, res.ci_lo == res.mean == res.ci_hi
 
 
@@ -169,6 +169,15 @@ def _mc(trials):
     (lambda: _mc(0), (ValueError, "need at least one trial")),
     # one trial has no spread to estimate: standard error 0, the interval is the mean
     (lambda: _mc(1), (0.0, True)),
-], ids=["no-trials", "one-trial"])
+    # a float used to reach range() as a bare TypeError, and True ran one trial
+    (lambda: _mc(2.5), (ValueError, "trial count 2.5 is not an integer")),
+    (lambda: _mc(True), (ValueError, "trial count True is not an integer")),
+    # 2.5 used to be cut to the CPU count, or reach range() where there are more CPUs;
+    # "2" failed as a bare TypeError, and True ran as one worker
+    (lambda: _mc(10, workers=2.5), (BadWorkerCount, "worker count 2.5 is not an integer")),
+    (lambda: _mc(10, workers="2"), (BadWorkerCount, "worker count '2' is not an integer")),
+    (lambda: _mc(10, workers=True), (BadWorkerCount, "worker count True is not an integer")),
+], ids=["no-trials", "one-trial", "float-trials", "bool-trials", "float-workers", "str-workers",
+        "bool-workers"])
 def test_simulate_refusal(call, want):
     assert _outcome(call) == want
