@@ -15,16 +15,21 @@ Each strategy's table is one ordered tuple of rows in :data:`RULES`: a
 pattern over the pair's feature tuple (``_`` matches any value), a
 ``case_label`` and its probability.  The first row that matches answers.  A
 row whose probability is ``None`` refuses with clause ``no-table-row``, so
-combinations the tables do not cover raise :class:`PreconditionViolated`
-rather than extrapolating.  :data:`ROWS` maps each label to its probability,
-so coverage of the whole table can be audited, and every returned probability
-is checked against the enumeration oracle in the verification suites.
+combinations the tables do not cover are refused rather than extrapolated.
+:data:`ROWS` maps each label to its probability, so coverage of the whole
+table can be audited, and every returned probability is checked against the
+enumeration oracle in the verification suites.
+
+:func:`admitted_pairs` and :func:`pairwise_probability` read one derivation
+that returns each refusal as ``(clause, detail)``; only the latter raises it,
+as :class:`PreconditionViolated`.  Each node's classes are kept on its profile,
+so the LRU of :func:`~hideseek.graphs.cached_profiles` bounds that cache.
 
 ``sigma_star`` has no table of its own.  It plays one component for the
 whole episode, so its probability for a pair is the mixture of the three
 component rows with the weights of :data:`hideseek.seeker.SIGMA_STAR_WEIGHTS`.
 A pair is admitted only when every component admits it; otherwise the first
-component's refusal is raised, ``dfs_d`` asked first.  Its case label is
+component's refusal answers, ``dfs_d`` asked first.  Its case label is
 ``sigma_star:`` followed by the ``dfs``, ``adfs`` and ``dfs_d`` labels joined
 with ``|`` (no comma, so CSV rows keep six fields).
 
@@ -172,74 +177,80 @@ def mixture_capture_bound(n: int, d: int) -> Fraction:
     return Fraction(9 * n, 16) + Fraction(13 * d - 11, 16)
 
 
-def _target_class(g: Graph, prof: PathProfile, t: int, v: int) -> str:
-    """Run the guards every table shares; the class of ``t``: free, gate, cycle or behind."""
-    if v == t:
-        raise PreconditionViolated("nodes-not-distinct", f"t = v = {t}")
-    if prof.cycle is not None and not (g.is_leaf(t) or t in prof.cycle_nodes):
-        raise PreconditionViolated("target-not-leaf-or-cycle", f"t = {t}")
-    if prof.on_every_path(v, t):
-        raise PreconditionViolated("v-on-every-target-path", f"v = {v}")
-    if prof.on_every_path(t, v):
-        raise PreconditionViolated("target-on-every-v-path", f"t = {t}, v = {v}")
-    if t in prof.single_path:
-        return "gate" if t in prof.through_entrance else "free"
-    return "cycle" if t in prof.cycle_nodes else "behind"
-
-
-def _v_class(prof: PathProfile, v: int) -> str:
-    """single (one simple path), cycle (on the cycle, two paths) or behind (two paths, off it)."""
-    if v in prof.single_path:
-        return "single"
-    return "cycle" if v in prof.cycle_nodes else "behind"
-
-
-def _unbounded_features(g: Graph, prof: PathProfile, t_class: str, v: int) -> tuple:
-    """The pair's features for ``dfs`` and ``adfs``: (class of t, class of v, degenerate exit)."""
-    v_class = _v_class(prof, v)
-    return t_class, v_class, v_class == "behind" and prof.anchor[v] in g.adj[prof.entrance]
-
-
-def _bounded_features(prof: PathProfile, t_class: str, t: int, v: int, d: int) -> tuple:
-    """The pair's features for ``dfs_d``, once its guards on the bound pass; see its rows."""
-    if prof.distance(t) > d:
-        raise PreconditionViolated("target-beyond-bound", f"dist(s,{t}) > {d}")
-    sets = prof.bounded_sets(d)
-    far = prof.distance(v) > d
-    # the bounded-DFS rows are only derived when some cycle node is reachable
-    # by two short paths; outside that domain the table refuses
-    if not far and prof.cycle_nodes and not prof.cycle_nodes & sets.two_short:
-        raise PreconditionViolated("cycle-outside-bound", "dfs_d: no cycle node has two paths within d")
-    # Every cycle node but the entrance has two paths, and the longest of them
-    # goes all the way round to an entrance neighbour: the cycle is fully short
-    # when that walk fits d.
-    cycle_fully_short = prof.cycle is None or prof.distance(prof.entrance) + len(prof.cycle) - 1 <= d
-    exit_ = prof.anchor.get(v, v)  # where v's paths leave the cycle
-    return ("far" if far else t_class, _v_class(prof, v), t in sets.two_short, v in sets.two_short,
-            cycle_fully_short, prof.on_path(exit_, t) or prof.on_path(t, exit_))
+def _node_classes(g: Graph, prof: PathProfile) -> list[tuple[str | None, str, bool]]:
+    """Each node's (class as t, class as v, degenerate exit), kept on the profile.  As v a
+    node is single (one path), cycle or behind (two, off the cycle); as t a single one is gate
+    (its path passes the entrance) or free, and it is ``None`` where the leaf guard refuses."""
+    classes = prof.__dict__.get("_node_classes")
+    if classes is None:
+        classes = []
+        for x in range(g.n):
+            v_class = "single" if x in prof.single_path else "cycle" if x in prof.cycle_nodes else "behind"
+            t_class = v_class if v_class != "single" else "gate" if x in prof.through_entrance else "free"
+            refused = prof.cycle is not None and not (g.is_leaf(x) or x in prof.cycle_nodes)
+            classes.append((None if refused else t_class, v_class,
+                            v_class == "behind" and prof.anchor[x] in g.adj[prof.entrance]))
+        prof.__dict__["_node_classes"] = classes
+    return classes
 
 
 @cache
-def _first_row(strategy: str, features: tuple) -> tuple[str, Fraction | None]:
-    # the feature domain is finite, so this cache stays small
-    return next((label, p) for pattern, label, p in RULES[strategy]
-                if all(want is None or want == got for want, got in zip(pattern, features)))
+def _first_row(strategy: str, features: tuple) -> PairwiseCaseResult | tuple[str, str]:
+    """The answer of the first row that matches: its result, or ``("no-table-row", detail)``
+    when the row has no probability.  sigma_star's features pair its dfs_d and unbounded
+    ones.  The feature domain is finite, so this cache stays small."""
+    if strategy == "sigma_star":  # the mixture of the module docstring, dfs_d asked first
+        bounded, unbounded = features
+        parts = {table: _first_row(table, bounded if table == "dfs_d" else unbounded)
+                 for table in ("dfs_d", *SIGMA_STAR_WEIGHTS)}
+        refused = [part for part in parts.values() if isinstance(part, tuple)]
+        return refused[0] if refused else PairwiseCaseResult(
+            sum(w * parts[table].probability for table, w in SIGMA_STAR_WEIGHTS.items()),
+            "sigma_star:" + "|".join(parts[table].case_label for table in SIGMA_STAR_WEIGHTS))
+    label, p = next((label, p) for pattern, label, p in RULES[strategy]
+                    if all(want is None or want == got for want, got in zip(pattern, features)))
+    return PairwiseCaseResult(p, label) if p is not None else ("no-table-row", label)
 
 
-def _row_label(strategy: str, features: tuple) -> str:
-    """The case label of the strategy's first row that matches ``features``."""
-    text, p = _first_row(strategy, features)
-    if p is None:
-        raise PreconditionViolated("no-table-row", text)
-    return text
-
-
-@cache
-def _mixture_row(labels: tuple[str, ...]) -> PairwiseCaseResult:
-    # the mixture of the module docstring; few label triples occur, and
-    # without the cache the Fraction sum costs as much as choosing the rows
-    probability = sum(w * ROWS[label] for w, label in zip(SIGMA_STAR_WEIGHTS.values(), labels))
-    return PairwiseCaseResult(probability, "sigma_star:" + "|".join(labels))
+def _answers(strategy: str, g: Graph, prof: PathProfile, d: int | None,
+             targets: Iterable[int], vs: Iterable[int]):
+    """``(t, v, answer)`` for each ``t`` in ``targets`` and ``v`` in ``vs``: the table's result,
+    or its first refusal as ``(clause, detail)``: shared guards, dfs_d's bound guards, rows."""
+    classes = _node_classes(g, prof)
+    bounded = strategy in ("dfs_d", "sigma_star")
+    if bounded:
+        two_short = prof.bounded_sets(d).two_short
+        # the bounded-DFS rows are only derived when some cycle node is reachable
+        # by two short paths; outside that domain the table refuses
+        cycle_outside = bool(prof.cycle_nodes) and not prof.cycle_nodes & two_short
+        # Every cycle node but the entrance has two paths, the longest going all the way
+        # round to an entrance neighbour: the cycle is fully short when that walk fits d.
+        fully_short = prof.cycle is None or prof.distance(prof.entrance) + len(prof.cycle) - 1 <= d
+    for t in targets:
+        t_class = classes[t][0]
+        for v in vs:
+            if v == t:
+                answer = ("nodes-not-distinct", f"t = v = {t}")
+            elif t_class is None:
+                answer = ("target-not-leaf-or-cycle", f"t = {t}")
+            elif prof.on_every_path(v, t):
+                answer = ("v-on-every-target-path", f"v = {v}")
+            elif prof.on_every_path(t, v):
+                answer = ("target-on-every-v-path", f"t = {t}, v = {v}")
+            elif bounded and prof.distance(t) > d:
+                answer = ("target-beyond-bound", f"dist(s,{t}) > {d}")
+            elif bounded and cycle_outside and prof.distance(v) <= d:
+                answer = ("cycle-outside-bound", "dfs_d: no cycle node has two paths within d")
+            else:
+                _, v_class, degenerate = classes[v]
+                features = (t_class, v_class, degenerate)
+                if bounded:
+                    exit_ = prof.anchor.get(v, v)  # where v's paths leave the cycle
+                    dfs_d = ("far" if prof.distance(v) > d else t_class, v_class, t in two_short,
+                             v in two_short, fully_short, prof.on_path(exit_, t) or prof.on_path(t, exit_))
+                    features = dfs_d if strategy == "dfs_d" else (dfs_d, features)
+                answer = _first_row(strategy, features)
+            yield t, v, answer
 
 
 def _checked_profile(strategy: str, d: int | None, g: Graph, s: int, *nodes: int) -> PathProfile:
@@ -267,16 +278,10 @@ def pairwise_probability(
     and :class:`NodeOutOfRange` for a node outside the graph.
     """
     prof = _checked_profile(strategy, d, g, s, t, v)
-    t_class = _target_class(g, prof, t, v)
-    if strategy == "sigma_star":
-        # dfs_d first: a target or cycle beyond d refuses as dfs_d does
-        bounded = _row_label("dfs_d", _bounded_features(prof, t_class, t, v, d))
-        unbounded = _unbounded_features(g, prof, t_class, v)
-        return _mixture_row(tuple(bounded if table == "dfs_d" else _row_label(table, unbounded)
-                                  for table in SIGMA_STAR_WEIGHTS))
-    label = _row_label(strategy, _bounded_features(prof, t_class, t, v, d) if strategy == "dfs_d"
-                       else _unbounded_features(g, prof, t_class, v))
-    return PairwiseCaseResult(ROWS[label], label)
+    [(_t, _v, answer)] = _answers(strategy, g, prof, d, [t], [v])
+    if isinstance(answer, tuple):
+        raise PreconditionViolated(*answer)
+    return answer
 
 
 def expected_position_from_tables(
@@ -301,17 +306,12 @@ def expected_position_from_tables(
 
 
 def admitted_pairs(strategy: str, g: Graph, s: int, d: int | None = None):
-    """``(t, v, answer)`` for every ordered pair the table admits, in node order."""
-    _checked_profile(strategy, d, g, s)
-    for t in range(g.n):
-        for v in range(g.n):
-            if v == t:
-                continue
-            try:
-                res = pairwise_probability(strategy, g, s, t, v, d)
-            except PreconditionViolated:
-                continue
-            yield t, v, res
+    """``(t, v, answer)`` for every ordered pair the table admits, in node order; the
+    arguments are checked at the call, not at the first ``next()``."""
+    prof = _checked_profile(strategy, d, g, s)
+    nodes = range(g.n)
+    return ((t, v, answer) for t, v, answer in _answers(strategy, g, prof, d, nodes, nodes)
+            if not isinstance(answer, tuple))
 
 
 def pairwise_csv_rows(

@@ -212,6 +212,32 @@ class TestPairwisePreconditions:
         with pytest.raises(NodeOutOfRange, match=message):
             call(g)
 
+    @pytest.mark.parametrize("args,error,message", [
+        (("bogus", 0), ValueError, "unknown strategy 'bogus'"),
+        (("dfs_d", 0), ValueError, "dfs_d needs a bound d"),
+        (("dfs", 10), NodeOutOfRange, "source 10 outside 0..9"),
+    ], ids=["strategy", "bound", "source"])
+    def test_admitted_pairs_checks_at_the_call(self, args, error, message):
+        """A bad call is refused before any pair is asked for."""
+        g, _ = example1_graph(10, 3)
+        strategy, s = args
+        with pytest.raises(error, match=message):
+            admitted_pairs(strategy, g, s)
+
+    @pytest.mark.parametrize("case,strategy,t,v,d,refusal", [
+        ("ex1", "dfs", 1, 0, None, "target-not-leaf-or-cycle: t = 1"),
+        ("ex1", "dfs_d", 3, 1, 1, "v-on-every-target-path: v = 1"),
+        ("twin_tails", "sigma_star", 1, 8, 5, "no-table-row: dfs_d: target on the cycle, v off it"),
+    ], ids=["leaf-guard-before-v-on-path", "v-on-path-before-bound", "sigma-star-asks-dfs_d-first"])
+    def test_first_of_two_failed_guards_answers(self, case, strategy, t, v, d, refusal):
+        """Where two guards fail, the one asked first names the refusal, even though the
+        target's own facts are read once for all its pairs."""
+        g = example1_graph(10, 3)[0] if case == "ex1" else {c.name: c for c in default_corpus()}[case].graph
+        with pytest.raises(PreconditionViolated) as err:
+            pairwise_probability(strategy, g, 0, t, v, d)
+        assert str(err.value) == refusal
+        assert (t, v) not in {(a, b) for a, b, _ in admitted_pairs(strategy, g, 0, d)}
+
     def test_underived_gap_refused(self):
         corpus = {c.name: c for c in default_corpus()}
         inst = corpus["twin_tails"]
@@ -219,6 +245,31 @@ class TestPairwisePreconditions:
         with pytest.raises(PreconditionViolated) as err:
             pairwise_probability("dfs_d", inst.graph, 0, 11, 9, inst.d)
         assert err.value.clause == "no-table-row"
+
+
+class TestOnePass:
+    """admitted_pairs gives, in node order, every pair pairwise_probability answers."""
+
+    @staticmethod
+    def assert_pass_is_per_pair(g):
+        for strategy in STRATEGIES:
+            for d in [None] if strategy in ("dfs", "adfs") else range(1, g.n):
+                want = []
+                for t, v in product(range(g.n), repeat=2):
+                    try:
+                        want.append((t, v, pairwise_probability(strategy, g, 0, t, v, d)))
+                    except PreconditionViolated:
+                        pass
+                assert list(admitted_pairs(strategy, g, 0, d)) == want, (strategy, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(at_most_one_cycle(max_n=8))
+    def test_random_graphs(self, g):
+        self.assert_pass_is_per_pair(g)
+
+    @pytest.mark.parametrize("inst", default_corpus(), ids=lambda inst: inst.name)
+    def test_corpus(self, inst):
+        self.assert_pass_is_per_pair(inst.graph)
 
 
 class TestComplementarity:
