@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hideseek.errors import EmptyFrontier, PolicyViolation
 from hideseek.graphs import Graph, bfs_distances, closed_subgraph, from_edges, path_profiles
 from hideseek.hider import example1_graph, palm_tree, prufer_decode
+from hideseek.oracle import episode_distribution
 from hideseek.seeker import (
     AdjustedDFSPolicy,
     BoundedDFSPolicy,
@@ -184,6 +185,20 @@ class TestBoundedDFS:
         moves = dfs_d_next(state, 3)
         assert 7 not in moves  # view distance 4 > 3
         assert set(moves) <= {1, 9}
+
+    @pytest.mark.parametrize("edges, sequences", [
+        # nodes 2 and 4 have paths of 2 and 3 = d + 1: the one seen first goes first
+        ([(0, 1), (0, 3), (1, 2), (1, 3), (3, 4)],
+         [(0, 1, 2, 3, 4), (0, 1, 3, 2, 4), (0, 3, 1, 4, 2), (0, 3, 4, 1, 2)]),
+        # a longer path beyond d + 1: the node seen last goes first
+        ([(0, 1), (0, 3), (1, 2), (1, 5), (2, 3), (3, 4)],
+         [(0, 1, 2, 3, 4, 5), (0, 1, 5, 2, 3, 4), (0, 3, 2, 1, 5, 4), (0, 3, 4, 2, 1, 5)]),
+    ])
+    def test_reveal_rule_drain_order(self, edges, sequences):
+        """Once the cycle closes, a node within d whose second path was just revealed
+        is drained: first-seen first at d + 1, last-seen first beyond it."""
+        g = from_edges(max(map(max, edges)) + 1, edges)
+        assert episode_distribution(BoundedDFSPolicy(2), g) == dict.fromkeys(sequences, Fraction(1, 4))
 
 
 class TestAdjustedDFS:
