@@ -6,8 +6,7 @@ graph with at most one cycle.  Values depend only on coarse structural classes,
 all read off the source's :class:`~hideseek.graphs.PathProfile`:
 
 * how many simple paths reach a node and how many of them fit the bound ``d``:
-  the ``within``, ``one_short`` and ``two_short`` fields of
-  :class:`~hideseek.graphs.BoundedClassSets` (``prof.bounded_sets(d)``);
+  its one or two path lengths, ``prof.lengths``, compared with ``d``;
 * whether a node sits on the cycle, strictly behind it, or before it;
 * for nodes behind the cycle, where their paths leave it (the ``anchor``).
 
@@ -133,6 +132,15 @@ class PairwiseCaseResult:
     case_label: str
 
 
+def _check_nodes(g: Graph, s: int, *named: tuple[str, int]) -> None:
+    """Refuse a source or named node outside the graph, then a source other than the
+    graph's own: every engine answers the game that starts at ``g.source``."""
+    for what, x in [("source", s), *named]:
+        check_node(g.n, x, what)
+    if s != g.source:
+        raise ValueError(f"source {s} is not the graph's source {g.source}")
+
+
 def tree_dfs_expected_positions(g: Graph, s: int, targets: Iterable[int] | None = None) -> list[Fraction]:
     """Expected position of each of ``targets`` (every node by default) under
     randomized DFS on a tree: (n + dist - m) / 2.
@@ -143,8 +151,7 @@ def tree_dfs_expected_positions(g: Graph, s: int, targets: Iterable[int] | None 
     if not g.is_tree():
         raise NotATree(f"graph has {g.edge_count} edges over {g.n} nodes")
     targets = range(g.n) if targets is None else list(targets)
-    for what, x in [("source", s), *(("target", t) for t in targets)]:
-        check_node(g.n, x, what)
+    _check_nodes(g, s, *(("target", t) for t in targets))
     # not cached_profiles: the lemma1 suite visits each tree once, so a kept
     # profile would never be read again
     prof = path_profiles(g, s)
@@ -219,13 +226,19 @@ def _answers(strategy: str, g: Graph, prof: PathProfile, d: int | None,
     classes = _node_classes(g, prof)
     bounded = strategy in ("dfs_d", "sigma_star")
     if bounded:
-        two_short = prof.bounded_sets(d).two_short
-        # the bounded-DFS rows are only derived when some cycle node is reachable
-        # by two short paths; outside that domain the table refuses
-        cycle_outside = bool(prof.cycle_nodes) and not prof.cycle_nodes & two_short
-        # Every cycle node but the entrance has two paths, the longest going all the way
-        # round to an entrance neighbour: the cycle is fully short when that walk fits d.
-        fully_short = prof.cycle is None or prof.distance(prof.entrance) + len(prof.cycle) - 1 <= d
+        lengths = prof.lengths
+
+        def two_short(x: int) -> bool:  # both of x's paths fit d
+            return len(lengths[x]) == 2 and lengths[x][1] <= d
+
+        # Every cycle node but the entrance, where the cycle's order starts, has two paths,
+        # the longer one round the far arc: it is least at the node opposite the entrance
+        # and greatest at the entrance's neighbours.  The bounded-DFS rows are only derived
+        # when the least fits d (outside that domain the table refuses), and the cycle is
+        # fully short when the greatest does.
+        order = prof.cycle.order if prof.cycle else None
+        cycle_outside = order is not None and lengths[order[len(order) // 2]][1] > d
+        fully_short = order is None or lengths[order[1]][1] <= d
     for t in targets:
         t_class = classes[t][0]
         for v in vs:
@@ -246,8 +259,8 @@ def _answers(strategy: str, g: Graph, prof: PathProfile, d: int | None,
                 features = (t_class, v_class, degenerate)
                 if bounded:
                     exit_ = prof.anchor.get(v, v)  # where v's paths leave the cycle
-                    dfs_d = ("far" if prof.distance(v) > d else t_class, v_class, t in two_short,
-                             v in two_short, fully_short, prof.on_path(exit_, t) or prof.on_path(t, exit_))
+                    dfs_d = ("far" if prof.distance(v) > d else t_class, v_class, two_short(t),
+                             two_short(v), fully_short, prof.on_path(exit_, t) or prof.on_path(t, exit_))
                     features = dfs_d if strategy == "dfs_d" else (dfs_d, features)
                 answer = _first_row(strategy, features)
             yield t, v, answer
@@ -258,8 +271,7 @@ def _checked_profile(strategy: str, d: int | None, g: Graph, s: int, *nodes: int
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     check_bound(strategy, d)
-    for what, x in zip(("source", "target", "v"), (s, *nodes)):
-        check_node(g.n, x, what)
+    _check_nodes(g, s, *zip(("target", "v"), nodes))
     return cached_profiles(g, s)
 
 
@@ -274,8 +286,9 @@ def pairwise_probability(
     """Exact probability that ``v`` precedes the hiding node ``t``.
 
     Raises :class:`PreconditionViolated` (with the failed clause) outside the
-    table's domain; ``ValueError`` before that for a bound ``d`` the policy refuses,
-    and :class:`NodeOutOfRange` for a node outside the graph.
+    table's domain; ``ValueError`` before that for a bound ``d`` the policy refuses
+    or a source other than ``g.source``, and :class:`NodeOutOfRange` for a node outside
+    the graph.
     """
     prof = _checked_profile(strategy, d, g, s, t, v)
     [(_t, _v, answer)] = _answers(strategy, g, prof, d, [t], [v])
@@ -325,5 +338,12 @@ def pairwise_csv_rows(
 
     Row format: ``instance,strategy,t,v,case_label,p/q``.
     """
+    instance = csv_field(instance)
     return [f"{instance},{strategy},{t},{v},{res.case_label},{res.probability}"
             for t, v, res in admitted_pairs(strategy, g, s, d)]
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: as it is, or quoted with each quote doubled when it
+    holds a comma, a quote or a line break (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .analysis import STRATEGIES, expected_position_from_tables
+from .analysis import STRATEGIES, csv_field, expected_position_from_tables
 from .errors import HideSeekError
 from .graphs import Graph, check_node, graph_from_json, graph_to_json
 from .hider import HiderStrategy, all_trees, example1_graph, example2_graph, palm_tree
@@ -80,7 +80,7 @@ def gen(kind, n, d, out):
 def _evaluate_row(g: Graph, spec: dict) -> str:
     """The CSV row of one eval spec, its defaults filled in and its target resolved."""
     strategy, target, mode, d = spec["strategy"], spec["target"], spec["mode"], spec["d"]
-    instance = spec.get("instance", Path(spec["graph"]).stem)
+    instance = csv_field(spec.get("instance", Path(spec["graph"]).stem))
     check_node(g.n, target, "target")
     if mode == "closed":
         value = expected_position_from_tables(strategy, g, g.source, target, d)

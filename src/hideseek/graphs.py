@@ -227,16 +227,6 @@ def find_cycle(g) -> Cycle | None:
 
 
 @dataclass(frozen=True)
-class BoundedClassSets:
-    """Node classes for one distance bound, precomputed in a single pass."""
-
-    within: frozenset[int]       # at least one path fits the bound
-    one_short: frozenset[int]    # exactly one path fits the bound
-    two_short: frozenset[int]    # both paths fit the bound
-    two_near: frozenset[int]     # both paths fit bound + 1
-
-
-@dataclass(frozen=True)
 class PathProfile:
     """Simple-path structure from a fixed source in a <=1-cycle graph.
 
@@ -245,7 +235,8 @@ class PathProfile:
     out closes the ``cycle``.  ``lengths[v]`` holds the sorted lengths of all
     simple source->v paths: one entry for nodes the cycle does not split, two
     for the nodes whose paths leave the cycle at an ``anchor`` other than the
-    ``entrance``, where the two arcs round the cycle differ.
+    ``entrance``, where the two arcs round the cycle differ.  A question about a
+    distance bound ``d`` compares these lengths with ``d`` where it is asked.
     """
 
     cycle: Cycle | None
@@ -269,20 +260,6 @@ class PathProfile:
         return self.on_path(x, v) and (
             x not in self.cycle_nodes or x == self.entrance or x == self.anchor.get(v, v))
 
-    def bounded_sets(self, bound: int) -> BoundedClassSets:
-        cache = self.__dict__.setdefault("_bounded_cache", {})
-        hit = cache.get(bound)
-        if hit is None:
-            within = frozenset(v for v, ls in self.lengths.items() if ls[0] <= bound)
-            two_short = frozenset(v for v in self.double_path if self.lengths[v][1] <= bound)
-            hit = cache[bound] = BoundedClassSets(
-                within=within,
-                one_short=within - two_short,
-                two_short=two_short,
-                two_near=frozenset(v for v in self.double_path if self.lengths[v][1] <= bound + 1),
-            )
-        return hit
-
     @cached_property
     def cycle_nodes(self) -> frozenset[int]:
         return self.cycle.node_set if self.cycle is not None else frozenset()
@@ -291,10 +268,6 @@ class PathProfile:
     def single_path(self) -> frozenset[int]:
         """Nodes reachable by exactly one simple path."""
         return frozenset(v for v, ls in self.lengths.items() if len(ls) == 1)
-
-    @cached_property
-    def double_path(self) -> frozenset[int]:
-        return frozenset(self.anchor)
 
     @cached_property
     def through_entrance(self) -> frozenset[int]:

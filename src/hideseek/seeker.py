@@ -144,7 +144,8 @@ class SearchState:
     def frontier_within(self, d: int) -> set[int]:
         """Frontier nodes with a path of length at most ``d`` inside the view."""
         if self._view_edges >= len(self.visited) + len(self.frontier):  # the view holds the cycle
-            return self.frontier & self.profile.bounded_sets(d).within
+            lengths = self.profile.lengths
+            return {w for w in self.frontier if lengths[w][0] <= d}
         depth = self._depth
         return {w for w in self.frontier if depth[w] <= d}
 
@@ -246,15 +247,15 @@ class BoundedDFSPolicy(_RecencyPolicy):
         return f"dfs_d[{self.d}]"
 
     def eligible(self, state: SearchState) -> Sequence[int]:
-        frontier, stack = state.frontier, state.active_stack
-        within = state.frontier_within(self.d)
+        stack, d = state.active_stack, self.d
+        within = state.frontier_within(d)
         revealed_deep = revealed_now = ()  # nothing is revealed before the cycle closes
         if state.cycle_among_visited:
-            prof = state.profile
-            sets = prof.bounded_sets(self.d)
-            # one short path, and the second one was revealed beyond / just at the bound
-            revealed_deep = (frontier & sets.one_short & prof.double_path) - sets.two_near
-            revealed_now = (frontier & sets.one_short & sets.two_near) - sets.two_short
+            lengths = state.profile.lengths
+            # within d, the longer path revealed beyond d + 1 / at d + 1 (a node
+            # with one path never counts: that path fits d)
+            revealed_deep = {w for w in within if lengths[w][-1] > d + 1}
+            revealed_now = {w for w in within if lengths[w][-1] == d + 1}
         if revealed_deep:
             active = _last_with(state, stack, revealed_deep)
         elif revealed_now:
@@ -277,7 +278,7 @@ class AdjustedDFSPolicy(_RecencyPolicy):
             prof = state.profile
             # nodes whose one path passes the cycle entrance have no second path
             clear_first = frontier & (prof.single_path if frontier & prof.through_entrance
-                                      else prof.double_path)
+                                      else prof.anchor.keys())
             if clear_first:
                 active = _last_with(state, stack, clear_first)
         return state.unvisited_neighbors(active)

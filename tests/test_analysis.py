@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import random
 from fractions import Fraction
 from itertools import product
@@ -20,10 +22,11 @@ from hideseek.analysis import (
     pairwise_probability,
     palm_expected_position,
     tree_dfs_expected_position,
+    tree_dfs_expected_positions,
 )
 from hideseek.corpus import default_corpus
 from hideseek.errors import MultipleCycles, NodeOutOfRange, NotATree, PreconditionViolated
-from hideseek.graphs import from_edges, must_pass
+from hideseek.graphs import Graph, from_edges, must_pass
 from hideseek.hider import BenefitFunction, example1_graph, example2_graph, palm_tree, tree_classes
 from hideseek.oracle import exact_expected_pos, exact_visit_prob, exact_visit_table
 from hideseek.seeker import (
@@ -211,6 +214,27 @@ class TestPairwisePreconditions:
         g, _ = example1_graph(10, 3)
         with pytest.raises(NodeOutOfRange, match=message):
             call(g)
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda g: expected_position_from_tables("dfs", g, 5, 3), id="expected"),
+        pytest.param(lambda g: pairwise_probability("dfs", g, 5, 3, 1), id="pairwise"),
+        pytest.param(lambda g: admitted_pairs("dfs_d", g, 5, 2), id="admitted"),
+        pytest.param(lambda g: pairwise_csv_rows("x", "adfs", g, 5), id="csv"),
+        pytest.param(lambda g: tree_dfs_expected_position(palm_tree(10, 3), 5, 3), id="tree"),
+        pytest.param(lambda g: tree_dfs_expected_positions(palm_tree(10, 3), 5), id="tree-all"),
+    ])
+    def test_source_other_than_the_graphs_refused(self, call):
+        """The graph decides the source: another one would answer another game."""
+        g, _ = example1_graph(10, 3)
+        with pytest.raises(ValueError, match="source 5 is not the graph's source 0"):
+            call(g)
+
+    def test_the_graphs_own_source_is_answered(self):
+        """The game from node 5 is the closed form's and the oracle's both, once the graph says so."""
+        g, _ = example1_graph(10, 3)
+        from5 = Graph(n=g.n, edges=g.edges, source=5)
+        assert expected_position_from_tables("dfs", from5, 5, 3) == Fraction(31, 4)
+        assert exact_expected_pos(DFSPolicy(), from5, 3) == Fraction(31, 4)
 
     @pytest.mark.parametrize("args,error,message", [
         (("bogus", 0), ValueError, "unknown strategy 'bogus'"),
@@ -511,6 +535,9 @@ class TestExpectedPosition:
         # 2/3 (n + 1/2) for dfs_d on Example 2
         g, t = example1_graph(20_000, 3)
         assert expected_position_from_tables("dfs", g, 0, t) == Fraction(2, 3) * (20_000 + Fraction(3, 2) - 1)
+        # with every path within the bound dfs_d is dfs; each pair reads the cycle's
+        # bound facts in O(1), so the ring of 19,997 nodes stays one O(n) pass
+        assert expected_position_from_tables("dfs_d", g, 0, t, 20_000) == Fraction(2, 3) * (20_000 + Fraction(1, 2))
         g, t = example2_graph(2_000, 5)
         assert expected_position_from_tables("dfs_d", g, 0, t, 5) == Fraction(2, 3) * (2_000 + Fraction(1, 2))
 
@@ -536,6 +563,13 @@ class TestCsvRows:
             assert instance == "ring_tail" and strategy == "dfs"
             assert label in ALL_CASE_LABELS["dfs"]
             assert "/" in prob or prob in ("0", "1")
+
+    def test_instance_name_quoted(self):
+        """A name with a comma, a quote or a line break is one quoted field (RFC 4180)."""
+        g, _ = example1_graph(10, 3)
+        name = 'ring, "tail"\nx'
+        rows = list(csv.reader(io.StringIO("".join(row + "\n" for row in pairwise_csv_rows(name, "dfs", g, 0)))))
+        assert rows and all(len(row) == 6 and row[0] == name for row in rows)
 
 
 def corpus_tables_text() -> str:

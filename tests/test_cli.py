@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import functools
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -237,6 +239,37 @@ class TestBatch:
         assert result.exit_code == 2
         assert "no target given and the graph file names none" in result.output
         assert "NodeOutOfRange" not in result.output
+
+
+class TestCsvQuoting:
+    """An instance name with a comma, a quote or a line break is one quoted field
+    (RFC 4180), so each row keeps the header's field count."""
+
+    @staticmethod
+    def assert_one_field(output: str, name: str) -> None:
+        header, *rows = csv.reader(io.StringIO(output))
+        assert rows and all(len(row) == len(header) and row[0] == name for row in rows)
+
+    def test_eval_graph_stem(self, tmp_path):
+        graph = tmp_path / "a,b.json"
+        graph.write_text(graph_to_json(*example1_graph(10, 3)))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = invoke(runner, "eval", "--graph", str(graph), "--strategy", "dfs", "--mode", "closed")
+        self.assert_one_field(result.output, "a,b")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_batch_instance(self, tmp_path, mode):
+        name = 'x\ny,z "q"'
+        graph = tmp_path / "ex1.json"
+        graph.write_text(graph_to_json(*example1_graph(10, 3)))
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps([{"graph": str(graph), "strategy": "dfs", "instance": name,
+                                     "mode": mode, "trials": 20}]))
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            result = invoke(runner, "batch", "--spec", str(spec))
+        self.assert_one_field(result.output, name)
 
 
 class TestEvalIsOneSpecBatch:

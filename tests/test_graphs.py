@@ -38,9 +38,9 @@ def _buckets(counts) -> dict[int, frozenset[int]]:
 
 
 def reachability_classes(g, s, d) -> dict[int, frozenset[int]]:
-    """Nodes by the number of simple paths of length <= d from s, read off the profile."""
-    sets = path_profiles(g, s).bounded_sets(d)
-    return _buckets({v: (v in sets.within) + (v in sets.two_short) for v in g.node_set})
+    """Nodes by the number of simple paths of length <= d from s, read off the profile's lengths."""
+    lengths = path_profiles(g, s).lengths
+    return _buckets({v: sum(length <= d for length in lengths[v]) for v in g.node_set})
 
 
 def restricted_classes(g, s, u, d) -> dict[int, frozenset[int]]:
@@ -262,13 +262,11 @@ class TestProfileAgainstBrutePaths:
         single = {v for v, ps in paths.items() if len(ps) == 1}
         assert prof.through_entrance == {v for v in single if prof.entrance in paths[v][0]}
         for d in range(g.n + 1):
-            sets = prof.bounded_sets(d)
-            fit = {v: sum(len(p) - 1 <= d for p in ps) for v, ps in paths.items()}
-            fit_near = {v: sum(len(p) - 2 <= d for p in ps) for v, ps in paths.items()}
-            assert sets.within == {v for v, k in fit.items() if k >= 1}
-            assert sets.one_short == {v for v, k in fit.items() if k == 1}
-            assert sets.two_short == {v for v, k in fit.items() if k == 2}
-            assert sets.two_near == {v for v, k in fit_near.items() if k == 2}
+            for v, ps in paths.items():
+                # how many of v's paths fit the bound d, and d + 1
+                for bound in (d, d + 1):
+                    assert sum(length <= bound for length in prof.lengths[v]) == \
+                        sum(len(p) - 1 <= bound for p in ps), (d, v)
 
 
 class TestFindCycle:

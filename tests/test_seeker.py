@@ -83,7 +83,8 @@ class BruteObservation:
         return path_profiles(self.view, self.visited[0])
 
     def frontier_within(self, d):
-        return self.frontier & self.profile.bounded_sets(d).within
+        lengths = self.profile.lengths
+        return {w for w in self.frontier if lengths[w][0] <= d}
 
 
 def brute(g, visited):
