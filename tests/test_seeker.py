@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -222,6 +223,42 @@ class TestAdjustedDFS:
         g, t = example1_graph(7, 2)
         state = SearchState(g, (0, 3, 4, 5, 6))
         assert adfs_next(state) == (1,)
+
+    def test_law_on_a_stalked_triangle(self):
+        # stalk 0-1 into the triangle 1-2-3, pendant 4 at the entrance, 5 behind on 2:
+        # once the triangle closes, a one-path node past the entrance goes before 5
+        g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4), (2, 5)])
+        law = {(0, 1, 2, 3, 4, 5): Fraction(1, 6), (0, 1, 2, 5, 3, 4): Fraction(1, 6),
+               (0, 1, 3, 2, 4, 5): Fraction(1, 3), (0, 1, 4, 2, 3, 5): Fraction(1, 12),
+               (0, 1, 4, 2, 5, 3): Fraction(1, 12), (0, 1, 4, 3, 2, 5): Fraction(1, 6)}
+        assert episode_distribution(AdjustedDFSPolicy(), g) == law
+        assert episode_distribution(DFSPolicy(), g) != law
+
+    def test_law_is_golden(self):
+        """The whole law over seeded one-cycle graphs stays as recorded: a restated
+        rule that moves differently on any reachable state changes this digest."""
+        dump = adfs_law_dump()
+        assert (dump.count("\n") + 1, hashlib.sha256(dump.encode()).hexdigest()) == (
+            2324, "f0bcc6978644a203e169bfb4b48dd049f30f99852ff45bf9ee00f8f06675bf4f")
+
+
+def adfs_law_dump(seed: int = 29, count: int = 300) -> str:
+    """Every sequence of ``episode_distribution(AdjustedDFSPolicy(), g)`` with its
+    probability, ``seq p/q`` per line, over ``count`` seeded graphs: a random recursive
+    tree on n = 3..8 nodes plus one chord, relabelled at random, with the source at a
+    random node in three graphs of ten and at 0 otherwise."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        n = rng.randint(3, 8)
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        edges.add(rng.choice([(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]))
+        label = rng.sample(range(n), n)
+        source = rng.randrange(n) if rng.random() < 0.3 else 0
+        g = from_edges(n, [(label[a], label[b]) for a, b in edges], source=source)
+        law = episode_distribution(AdjustedDFSPolicy(), g)
+        lines += [f"{' '.join(map(str, seq))} {p}" for seq, p in sorted(law.items())]
+    return "\n".join(lines)
 
 
 class TestSigmaStar:
