@@ -21,8 +21,8 @@ enumeration oracle in the verification suites.
 
 :func:`admitted_pairs` and :func:`pairwise_probability` read one derivation
 that returns each refusal as ``(clause, detail)``; only the latter raises it,
-as :class:`PreconditionViolated`.  Each node's classes are kept on its profile,
-so the LRU of :func:`~hideseek.graphs.cached_profiles` bounds that cache.
+as :class:`PreconditionViolated`.  It classes only the nodes it is asked about,
+each once and in constant time, from the profile's own fields.
 
 ``sigma_star`` has no table of its own.  It plays one component for the
 whole episode, so its probability for a pair is the mixture of the three
@@ -184,23 +184,6 @@ def mixture_capture_bound(n: int, d: int) -> Fraction:
     return Fraction(9 * n, 16) + Fraction(13 * d - 11, 16)
 
 
-def _node_classes(g: Graph, prof: PathProfile) -> list[tuple[str | None, str, bool]]:
-    """Each node's (class as t, class as v, degenerate exit), kept on the profile.  As v a
-    node is single (one path), cycle or behind (two, off the cycle); as t a single one is gate
-    (its path passes the entrance) or free, and it is ``None`` where the leaf guard refuses."""
-    classes = prof.__dict__.get("_node_classes")
-    if classes is None:
-        classes = []
-        for x in range(g.n):
-            v_class = "single" if x in prof.single_path else "cycle" if x in prof.cycle_nodes else "behind"
-            t_class = v_class if v_class != "single" else "gate" if x in prof.through_entrance else "free"
-            refused = prof.cycle is not None and not (g.is_leaf(x) or x in prof.cycle_nodes)
-            classes.append((None if refused else t_class, v_class,
-                            v_class == "behind" and prof.anchor[x] in g.adj[prof.entrance]))
-        prof.__dict__["_node_classes"] = classes
-    return classes
-
-
 @cache
 def _first_row(strategy: str, features: tuple) -> PairwiseCaseResult | tuple[str, str]:
     """The answer of the first row that matches: its result, or ``("no-table-row", detail)``
@@ -223,11 +206,19 @@ def _answers(strategy: str, g: Graph, prof: PathProfile, d: int | None,
              targets: Iterable[int], vs: Iterable[int]):
     """``(t, v, answer)`` for each ``t`` in ``targets`` and ``v`` in ``vs``: the table's result,
     or its first refusal as ``(clause, detail)``: shared guards, dfs_d's bound guards, rows."""
-    classes = _node_classes(g, prof)
+    lengths = prof.lengths
+
+    def as_v(x: int) -> tuple[str, bool]:
+        """As v: single, cycle or behind, and whether its paths leave the cycle next to the entrance."""
+        if len(lengths[x]) == 1:
+            return "single", False
+        if x in prof.cycle_nodes:
+            return "cycle", False
+        return "behind", prof.anchor[x] in g.adj[prof.entrance]
+
+    vs = [(v, *as_v(v)) for v in vs]
     bounded = strategy in ("dfs_d", "sigma_star")
     if bounded:
-        lengths = prof.lengths
-
         def two_short(x: int) -> bool:  # both of x's paths fit d
             return len(lengths[x]) == 2 and lengths[x][1] <= d
 
@@ -240,8 +231,13 @@ def _answers(strategy: str, g: Graph, prof: PathProfile, d: int | None,
         cycle_outside = order is not None and lengths[order[len(order) // 2]][1] > d
         fully_short = order is None or lengths[order[1]][1] <= d
     for t in targets:
-        t_class = classes[t][0]
-        for v in vs:
+        if prof.cycle is not None and not (g.is_leaf(t) or t in prof.cycle_nodes):
+            t_class = None  # the leaf guard refuses t
+        elif len(lengths[t]) == 1:  # its one path passes the cycle entrance, or not
+            t_class = "gate" if prof.passes_entrance(t) else "free"
+        else:
+            t_class = as_v(t)[0]
+        for v, v_class, degenerate in vs:
             if v == t:
                 answer = ("nodes-not-distinct", f"t = v = {t}")
             elif t_class is None:
@@ -255,7 +251,6 @@ def _answers(strategy: str, g: Graph, prof: PathProfile, d: int | None,
             elif bounded and cycle_outside and prof.distance(v) <= d:
                 answer = ("cycle-outside-bound", "dfs_d: no cycle node has two paths within d")
             else:
-                _, v_class, degenerate = classes[v]
                 features = (t_class, v_class, degenerate)
                 if bounded:
                     exit_ = prof.anchor.get(v, v)  # where v's paths leave the cycle

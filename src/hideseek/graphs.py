@@ -264,17 +264,9 @@ class PathProfile:
     def cycle_nodes(self) -> frozenset[int]:
         return self.cycle.node_set if self.cycle is not None else frozenset()
 
-    @cached_property
-    def single_path(self) -> frozenset[int]:
-        """Nodes reachable by exactly one simple path."""
-        return frozenset(v for v, ls in self.lengths.items() if len(ls) == 1)
-
-    @cached_property
-    def through_entrance(self) -> frozenset[int]:
-        """Single-path nodes whose unique path passes the cycle entrance."""
-        if self.entrance is None:
-            return frozenset()
-        return frozenset(v for v in self.single_path if self.on_path(self.entrance, v))
+    def passes_entrance(self, v: int) -> bool:
+        """Whether ``v`` has one simple path and it passes the cycle entrance."""
+        return len(self.lengths[v]) == 1 and self.entrance is not None and self.on_path(self.entrance, v)
 
 
 def path_profiles(g, s: int) -> PathProfile:

@@ -26,6 +26,9 @@ class BenefitFunction:
     def __post_init__(self):
         if not self.values:
             raise ValueError("benefit table must not be empty")
+        for v in self.values:
+            if type(v) not in (int, Fraction):  # a float or a bool would leave the exact routes
+                raise ValueError(f"benefit {v!r} is not an int or a Fraction")
         if any(v < 0 for v in self.values):
             raise ValueError("benefits must be non-negative")
         if any(a < b for a, b in zip(self.values, self.values[1:])):
@@ -81,13 +84,15 @@ class HiderStrategy:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("strategy needs at least one atom")
-        total = sum(p for _, _, p in self.atoms)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
         for g, h, p in self.atoms:
+            if type(p) not in (int, Fraction):  # a float or a bool would leave the exact routes
+                raise ValueError(f"atom probability {p!r} is not an int or a Fraction")
             if p <= 0:
                 raise ValueError("atom probabilities must be positive")
             check_node(g.n, h, "hiding node")
+        total = sum(p for _, _, p in self.atoms)
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, expected 1")
 
     @staticmethod
     def pure(g: Graph, h: int) -> "HiderStrategy":
@@ -175,7 +180,8 @@ def prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 
 def tree_sizes(ns: Iterable[int]) -> list[int]:
     """The sizes ``ns``, each once and in order, once :func:`all_trees` and
-    :func:`tree_classes` accept every one of them.
+    :func:`tree_classes` accept every one of them: :class:`BadShape` below 2
+    nodes, :class:`TooLarge` above ``TREE_ENUM_LIMIT``.
 
     Both are lazy and check their size only when first iterated; a caller
     that enumerates several sizes passes them here first, so a bad last size
@@ -184,7 +190,7 @@ def tree_sizes(ns: Iterable[int]) -> list[int]:
     ns = list(dict.fromkeys(ns))
     for n in ns:
         if n < 2:
-            raise TooLarge("tree enumeration needs n >= 2")
+            raise BadShape("tree enumeration needs n >= 2")
         if n > TREE_ENUM_LIMIT:
             raise TooLarge(f"tree enumeration capped at n = {TREE_ENUM_LIMIT}")
     return ns

@@ -13,9 +13,8 @@ eligible.  The depth first family differs only in how the *active* node
                    view shows a cycle, nodes whose second short path was just
                    revealed are drained in first-seen order before returning
                    to normal operation.
-* ``adfs``      -- after the cycle closes, exhausts nodes reachable by a
-                   single path (via the cycle entrance) before any node that
-                   has two paths from the source.
+* ``adfs``      -- once the cycle is seen, the latest stacked node next to a
+                   frontier node whose one path passes the entrance, if any.
 * ``sigma_star``-- plays dfs / adfs / dfs_d for the whole episode with
                    probabilities 3/8, 3/8, 1/4.
 """
@@ -267,20 +266,22 @@ class BoundedDFSPolicy(_RecencyPolicy):
 
 
 class AdjustedDFSPolicy(_RecencyPolicy):
-    """DFS that, once the cycle is known, clears single-path nodes first."""
+    """DFS that, once the cycle is known, moves from the latest stacked node next to a
+    frontier node whose one path passes the cycle entrance, if there is one.  On every
+    state ``adfs`` reaches, that is the latest next to any one-path frontier node while
+    one passes the entrance, else next to any two-path one; on a state only another
+    policy or a hand-built sequence reaches, the two may differ."""
 
     kind = "adfs"
 
     def eligible(self, state: SearchState) -> Sequence[int]:
-        frontier, stack = state.frontier, state.active_stack
+        stack = state.active_stack
         active = stack[-1]
         if state.cycle_among_visited:
-            prof = state.profile
-            # nodes whose one path passes the cycle entrance have no second path
-            clear_first = frontier & (prof.single_path if frontier & prof.through_entrance
-                                      else prof.anchor.keys())
-            if clear_first:
-                active = _last_with(state, stack, clear_first)
+            passes_entrance = state.profile.passes_entrance
+            gates = {w for w in state.frontier if passes_entrance(w)}
+            if gates:
+                active = _last_with(state, stack, gates)
         return state.unvisited_neighbors(active)
 
 

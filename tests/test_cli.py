@@ -550,11 +550,12 @@ def test_a_failing_check_exits_1(monkeypatch, args, break_closed_form, check_id,
     (["verify", "equilibrium", "--n", "3", "--benefit", "geometric:1/0"],
      "benefit spec 'geometric:1/0' is not step:<cutoff>, geometric:<ratio> or constant"),
     (["verify", "equilibrium", "--n", "1"], "tree enumeration needs n >= 2"),
+    (["gen", "tree-enum", "--n", "1"], "BadShape: tree enumeration needs n >= 2"),
     # one trial has standard error 0, so the 4-SE check could only demand the exact value
     (["verify", "examples", "--trials", "1"], "the Monte Carlo check needs at least 2 trials, got 1"),
 ], ids=["palm-without-d", "batch-spec-not-json", "graph-not-json", "unknown-benefit",
         "geometric-ratio-above-1", "step-cutoff-not-int", "step-without-cutoff",
-        "geometric-ratio-not-a-number", "geometric-ratio-over-zero", "equilibrium-n-1",
+        "geometric-ratio-not-a-number", "geometric-ratio-over-zero", "equilibrium-n-1", "tree-enum-n-1",
         "examples-one-trial"])
 def test_bad_input_exits_2(tmp_path, args, message):
     bad = tmp_path / "bad.json"

@@ -259,8 +259,8 @@ class TestProfileAgainstBrutePaths:
                 assert {[x for x in p if x in cyc][-1] for p in ps} == {prof.anchor[v]}
             else:
                 assert v not in prof.anchor
-        single = {v for v, ps in paths.items() if len(ps) == 1}
-        assert prof.through_entrance == {v for v in single if prof.entrance in paths[v][0]}
+        for v, ps in paths.items():
+            assert prof.passes_entrance(v) == (len(ps) == 1 and prof.entrance in ps[0]), v
         for d in range(g.n + 1):
             for v, ps in paths.items():
                 # how many of v's paths fit the bound d, and d + 1
@@ -422,7 +422,7 @@ class TestEntranceExit:
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 1), (1, 4)])
         prof = path_profiles(g, 0)
         assert prof.entrance == 1 and 4 not in prof.anchor
-        assert prof.through_entrance == frozenset({1, 4})
+        assert {v for v in range(g.n) if prof.passes_entrance(v)} == {1, 4}
 
     def test_example2_pendant_exit_is_antipode(self):
         g, _ = example2_graph(17, 5)

@@ -194,5 +194,13 @@ class TestBenefitFunction:
         assert BenefitFunction.step(0, 5).values == (1, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("enumerate_trees, n", [(tree_classes, 1), (all_trees, 0)],
+                         ids=["classes-1", "trees-0"])
+def test_too_small_tree_is_a_bad_shape(enumerate_trees, n):
+    """A size below 2 is no tree the enumerators build, not one too large for them."""
+    with pytest.raises(BadShape, match="tree enumeration needs n >= 2"):
+        next(enumerate_trees(n))
+
+
 def test_tree_sizes_keep_each_size_once_in_order():
     assert hider.tree_sizes([5, 4, 5, 3, 4]) == [5, 4, 3]

@@ -84,12 +84,16 @@ def _palm_atoms(*weights):
     (_palm_atoms(Fraction(1), Fraction(0)), (ValueError, "atom probabilities must be positive")),
     (_palm_atoms(Fraction(3, 2), Fraction(-1, 2)), (ValueError, "atom probabilities must be positive")),
     (lambda: HiderStrategy.pure(palm_tree(4, 1), 4), (NodeOutOfRange, "hiding node 4 outside 0..3")),
+    # a float would reach the exact routes, which read .denominator or return floats
+    (_palm_atoms(0.5, 0.5), (ValueError, "atom probability 0.5 is not an int or a Fraction")),
+    (lambda: BenefitFunction((1.0, Fraction(1, 2))), (ValueError, "benefit 1.0 is not an int or a Fraction")),
     (lambda: optimal_hiding_depths(BenefitFunction.constant(1), 1),
      (ValueError, "need at least two nodes")),
     (lambda: example1_graph(5, 0), (BadShape, "tail must have positive length")),
 ], ids=["empty-benefit", "constant-no-nodes", "negative-benefit", "benefit-past-table",
         "step-negative-distance", "geometric-negative-distance", "no-atoms",
-        "zero-atom", "negative-atom", "atom-off-graph", "depths-one-node", "example1-no-tail"])
+        "zero-atom", "negative-atom", "atom-off-graph", "float-atom", "float-benefit", "depths-one-node",
+        "example1-no-tail"])
 def test_hider_refusal(call, want):
     assert _outcome(call) == want
 
